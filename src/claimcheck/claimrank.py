@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .encode import EncoderBackend, cosine_distance, encode
+from .encode import EncoderBackend, cosine_distance, encode, encode_batch
 from .textproc import split_sentences, tokenize
 
 
@@ -68,10 +68,8 @@ def rank_sentences(
         raise ValueError("article body yields no sentences to rank")
 
     signal_vec = encode(backend, signal.text)
-    scored = [
-        (cosine_distance(signal_vec, encode(backend, text)), index, text)
-        for index, text in sentences_kept
-    ]
+    distances = cosine_distance(signal_vec, encode_batch(backend, [text for _, text in sentences_kept]))
+    scored = [(distance, index, text) for distance, (index, text) in zip(distances, sentences_kept)]
     scored.sort(key=lambda item: (item[0], item[1]))
     return [
         RankedSentence(index=index, text=text, distance=distance, rank=rank)

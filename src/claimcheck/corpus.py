@@ -245,7 +245,7 @@ def normalize_articles(
     result = NormalizeResult(articles=[])
     for article in articles:
         outcome = normalize_label(article.raw_label, article.dataset, table)
-        if outcome is DROP or isinstance(outcome, _Drop):
+        if isinstance(outcome, _Drop):
             result.dropped += 1
             continue
         result.articles.append(replace(article, label=outcome))

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EncodeError
-from .textproc import tokenize
+from .textproc import TokenSeq, has_tokens, tokenize
 
 Embedding = np.ndarray
 
@@ -40,13 +42,57 @@ def l2_normalize(vector: np.ndarray) -> np.ndarray:
     return vec / norm
 
 
+class _BucketTable(dict):
+    """token -> ``stable_bucket(token, seed, buckets)``, filled on first use.
+
+    Every writer of a key stores the same value, so concurrent fills from
+    several threads are benign.
+    """
+
+    def __init__(self, seed: int, buckets: int):
+        super().__init__()
+        self.seed = seed
+        self.buckets = buckets
+
+    def __missing__(self, token: str) -> int:
+        bucket = self[token] = stable_bucket(token, self.seed, self.buckets)
+        return bucket
+
+
+class HashedFeaturizer:
+    """Hashed bag-of-tokens rows: bucket counts scaled to unit L2 norm.
+
+    Owned by one encoder or classifier instance; its token table lives as
+    long as the owner. Row ``i`` is bit-identical to accumulating one count
+    per token of ``token_lists[i]`` and calling ``l2_normalize``: counts are
+    integers, so the sum of squares is exact whatever the summation order.
+    """
+
+    def __init__(self, dimension: int, seed: int):
+        self.dimension = dimension
+        self.table = _BucketTable(seed, dimension)
+
+    def unit_rows(self, token_lists: Sequence[TokenSeq]) -> np.ndarray:
+        """``(len(token_lists), dimension)`` float64; an empty list gives a zero row."""
+        n, d = len(token_lists), self.dimension
+        lengths = [len(tokens) for tokens in token_lists]
+        flat = np.fromiter(map(self.table.__getitem__, chain.from_iterable(token_lists)), np.intp, sum(lengths))
+        flat += np.repeat(np.arange(0, n * d, d, dtype=np.intp), lengths)
+        counts = np.bincount(flat, minlength=n * d).reshape(n, d)
+        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts).astype(np.float64))
+        rows = counts.astype(np.float64)
+        return np.divide(rows, norms[:, None], out=rows, where=norms[:, None] > 0.0)
+
+
 class EncoderBackend(ABC):
     """Text-to-vector backend.
 
     Implementations must be deterministic for a fixed configuration and
-    must always return unit-norm vectors of ``dimension`` entries. A backend
-    that cannot take concurrent calls sets ``thread_safe = False`` and the
-    pipeline serializes around it.
+    must always return unit-norm vectors of ``dimension`` entries. Row ``i``
+    of ``encode_batch(texts)`` must equal ``encode(texts[i])``; the default
+    stacks ``encode``, and a backend overrides it when a batch is cheaper. A
+    backend that cannot take concurrent calls sets ``thread_safe = False``
+    and the pipeline serializes around it.
     """
 
     name: str
@@ -56,6 +102,12 @@ class EncoderBackend(ABC):
     @abstractmethod
     def encode(self, text: str) -> Embedding:
         """Encode non-empty text into a unit-norm vector."""
+
+    def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """Encode texts into an ``(n, dimension)`` matrix; row ``i`` is ``encode(texts[i])``."""
+        if not texts:
+            return np.zeros((0, self.dimension))
+        return np.stack([self.encode(text) for text in texts])
 
 
 class HashedBagEncoder(EncoderBackend):
@@ -73,20 +125,30 @@ class HashedBagEncoder(EncoderBackend):
             raise ValueError(f"encoder dimension must be >= 8, got {dimension}")
         self.dimension = int(dimension)
         self.seed = int(seed)
+        self._featurizer = HashedFeaturizer(self.dimension, self.seed)
 
     def encode(self, text: str) -> Embedding:
-        tokens = tokenize(text)
-        if not tokens:
+        return self.encode_batch([text])[0]
+
+    def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
+        token_lists = [tokenize(text) for text in texts]
+        if not all(token_lists):
             raise EncodeError("cannot encode text with no tokens")
-        counts = np.zeros(self.dimension, dtype=np.float64)
-        for token in tokens:
-            counts[stable_bucket(token, self.seed, self.dimension)] += 1.0
-        return l2_normalize(counts)
+        return self._featurizer.unit_rows(token_lists)
 
 
 def reference_encode(text: str, dimension: int = 256, seed: int = 0) -> Embedding:
     """Encode ``text`` with a hashed bag-of-tokens encoder built on the spot."""
     return HashedBagEncoder(dimension=dimension, seed=seed).encode(text)
+
+
+def _check_embeddings(backend: EncoderBackend, array: np.ndarray, shape: tuple[int, ...]) -> None:
+    if array.shape != shape:
+        raise EncodeError(f"backend {backend.name!r} returned shape {array.shape}, expected {shape}")
+    if not np.all(np.isfinite(array)):
+        raise EncodeError(f"backend {backend.name!r} returned non-finite entries")
+    if np.any(np.abs(np.linalg.norm(array, axis=-1) - 1.0) > _NORM_TOLERANCE):
+        raise EncodeError(f"backend {backend.name!r} returned a non-unit vector")
 
 
 def encode(backend: EncoderBackend, text: str) -> Embedding:
@@ -96,29 +158,39 @@ def encode(backend: EncoderBackend, text: str) -> Embedding:
     returns a vector of the wrong shape, with non-finite entries, or with a
     norm off unit by more than 1e-9.
     """
-    if not tokenize(text):
+    if not has_tokens(text):
         raise EncodeError("text has no tokens to encode")
     vector = np.asarray(backend.encode(text), dtype=np.float64)
-    if vector.shape != (backend.dimension,):
-        raise EncodeError(
-            f"backend {backend.name!r} returned shape {vector.shape}, "
-            f"expected ({backend.dimension},)"
-        )
-    if not np.all(np.isfinite(vector)):
-        raise EncodeError(f"backend {backend.name!r} returned non-finite entries")
-    if abs(float(np.linalg.norm(vector)) - 1.0) > _NORM_TOLERANCE:
-        raise EncodeError(f"backend {backend.name!r} returned a non-unit vector")
+    _check_embeddings(backend, vector, (backend.dimension,))
     return vector
 
 
-def cosine_distance(a: Embedding, b: Embedding) -> float:
+def encode_batch(backend: EncoderBackend, texts: Sequence[str]) -> np.ndarray:
+    """Encode ``texts`` into an ``(n, dimension)`` matrix under the ``encode`` contract.
+
+    The contract is checked once for the whole matrix; any text without
+    tokens fails the batch.
+    """
+    if not all(map(has_tokens, texts)):
+        raise EncodeError("text has no tokens to encode")
+    matrix = np.asarray(backend.encode_batch(texts), dtype=np.float64)
+    _check_embeddings(backend, matrix, (len(texts), backend.dimension))
+    return matrix
+
+
+def cosine_distance(a: Embedding, b: Embedding) -> float | list[float]:
     """Return ``1 - dot(a, b)``, clamped to [0, 2] against rounding noise.
 
     Inputs are assumed unit-norm (the ``encode`` contract); under that
-    assumption 0 means identical direction and 2 means antipodal.
+    assumption 0 means identical direction and 2 means antipodal. A matrix
+    ``b`` gives one distance per row, each from its own ``np.dot``, so a
+    row's distance is bit-identical to passing that row alone.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
+    if b.shape[-1:] != a.shape or b.ndim > 2:
         raise ValueError(f"embedding dimension mismatch: {a.shape} vs {b.shape}")
+    if b.ndim == 2:
+        dots = np.fromiter(map(a.dot, b), np.float64, len(b))
+        return np.clip(1.0 - dots, 0.0, 2.0).tolist()
     return min(2.0, max(0.0, 1.0 - float(np.dot(a, b))))

@@ -17,9 +17,9 @@ from enum import Enum
 from pathlib import Path
 
 from .corpus import Article
-from .encode import EncoderBackend, cosine_distance, encode
+from .encode import EncoderBackend, cosine_distance, encode, encode_batch
 from .errors import ConfigError, FatalSearchError
-from .textproc import split_sentences, tokenize
+from .textproc import has_tokens, split_sentences
 
 logger = logging.getLogger(__name__)
 
@@ -264,23 +264,25 @@ def gather_evidence(
         return EvidenceSet()
 
     claim_vec = encode(backend, claim_text)
-    pool: list[EvidenceSentence] = []
-    for order, evidence_article in enumerate(survivors):
-        for idx, sentence in enumerate(split_sentences(evidence_article.result.body, abbreviations)):
-            if not tokenize(sentence):
-                continue  # nothing to embed
-            distance = cosine_distance(claim_vec, encode(backend, sentence))
-            pool.append(
-                EvidenceSentence(
-                    text=sentence,
-                    distance=distance,
-                    source_url=evidence_article.result.url,
-                    article_order=order,
-                    sentence_index=idx,
-                )
-            )
-    pool.sort(key=lambda s: (s.distance, s.article_order, s.sentence_index))
-    top = tuple(pool[:max_sentences])
+    candidates = [
+        (order, idx, sentence)
+        for order, evidence_article in enumerate(survivors)
+        for idx, sentence in enumerate(split_sentences(evidence_article.result.body, abbreviations))
+        if has_tokens(sentence)  # nothing to embed otherwise
+    ]
+    distances = cosine_distance(claim_vec, encode_batch(backend, [sentence for _, _, sentence in candidates]))
+    # (article order, sentence position) is unique, so the text never decides the order.
+    pool = sorted((distance, *candidate) for distance, candidate in zip(distances, candidates))
+    top = tuple(
+        EvidenceSentence(
+            text=sentence,
+            distance=distance,
+            source_url=survivors[order].result.url,
+            article_order=order,
+            sentence_index=idx,
+        )
+        for distance, order, idx, sentence in pool[:max_sentences]
+    )
     return EvidenceSet(
         articles=tuple(survivors),
         sentences=top,

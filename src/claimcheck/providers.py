@@ -17,6 +17,7 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+import uuid
 from datetime import date
 from pathlib import Path
 from typing import Callable
@@ -157,9 +158,14 @@ class ResponseCache:
         path = self._path(key)
         if path.exists():
             return  # entries are immutable once written
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")), encoding="utf-8")
-        tmp.replace(path)
+        # A temp file of its own, so concurrent writers of one key never share one.
+        tmp = self._dir / f"{key}.{uuid.uuid4().hex}.part"
+        try:
+            tmp.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")), encoding="utf-8")
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def _default_transport(url: str, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
@@ -210,9 +216,10 @@ class LiveSearchProvider(SearchProvider):
                 return [_result_from_payload(item, rank) for rank, item in enumerate(cached, 1)]
 
         payload = self._fetch(query_text)
+        results = [_result_from_payload(item, rank) for rank, item in enumerate(payload, 1)]
         if self._cache is not None:
-            self._cache.put(cache_key, payload)
-        return [_result_from_payload(item, rank) for rank, item in enumerate(payload, 1)]
+            self._cache.put(cache_key, payload)  # only a payload that parsed is replayed
+        return results
 
     def _fetch(self, query_text: str) -> list[dict]:
         api_key = os.environ.get(self._api_key_env)

@@ -25,7 +25,7 @@ DEFAULT_ABBREVIATIONS = frozenset(
     }
 )
 
-_TERMINATORS = frozenset(".!?")
+_TERMINATOR_RE = re.compile(r"[.!?]")
 
 
 def tokenize(text: str) -> TokenSeq:
@@ -35,6 +35,11 @@ def tokenize(text: str) -> TokenSeq:
     token list.
     """
     return _TOKEN_RE.findall(text.lower())
+
+
+def has_tokens(text: str) -> bool:
+    """``bool(tokenize(text))``, without collecting the tokens."""
+    return _TOKEN_RE.search(text.lower()) is not None
 
 
 def load_abbreviations(path: str | Path) -> frozenset[str]:
@@ -59,8 +64,9 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
     guard = DEFAULT_ABBREVIATIONS if abbreviations is None else abbreviations
     sentences: list[str] = []
     start = 0
-    for i, ch in enumerate(text):
-        if ch in _TERMINATORS and _is_boundary(text, i, guard):
+    for match in _TERMINATOR_RE.finditer(text):
+        i = match.start()
+        if _is_boundary(text, i, guard):
             piece = text[start : i + 1].strip()
             if piece:
                 sentences.append(piece)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import VeracityLabel
-from .encode import l2_normalize, stable_bucket
+from .encode import HashedFeaturizer
 from .errors import ConfigError
 from .textproc import tokenize
 
@@ -108,7 +108,6 @@ class ClassifierBackend(ABC):
     """4-way classifier slot: deterministic inference, epoch-wise training."""
 
     name: str
-    num_classes: int = NUM_CLASSES
 
     @abstractmethod
     def predict_proba(self, text: str) -> np.ndarray:
@@ -158,12 +157,10 @@ class HashedLinearClassifier(ClassifierBackend):
         self.batch_size = batch_size
         self.weights = np.zeros((NUM_CLASSES, self.dimension), dtype=np.float64)
         self.bias = np.zeros(NUM_CLASSES, dtype=np.float64)
+        self._featurizer = HashedFeaturizer(self.dimension, self.seed)
 
     def features(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        for token in tokenize(text):
-            vec[stable_bucket(token, self.seed, self.dimension)] += 1.0
-        return l2_normalize(vec)
+        return self._featurizer.unit_rows([tokenize(text)])[0]
 
     def predict_proba(self, text: str) -> np.ndarray:
         logits = self.weights @ self.features(text) + self.bias

@@ -9,6 +9,11 @@ from __future__ import annotations
 
 from datetime import date, timedelta
 
+import numpy as np
+
+from claimcheck.encode import stable_bucket
+from claimcheck.textproc import tokenize
+
 
 def clipped_unigram_overlap(candidate: list[str], reference: list[str]) -> int:
     """Count candidate tokens that can be matched 1:1 against the reference."""
@@ -74,3 +79,49 @@ def in_window_by_walking(article_date: date, evidence_date: date, months: int = 
     lower = shift_months_by_walking(article_date, -months)
     upper = shift_months_by_walking(article_date, months)
     return lower <= evidence_date <= upper
+
+
+def hashed_bag_by_loop(text: str, dimension: int, seed: int) -> np.ndarray:
+    """Hashed bag-of-tokens vector by its definition: one keyed hash per
+    token occurrence, one count per hash, then division by the L2 norm.
+
+    ``tokenize`` and ``stable_bucket`` are the definition being encoded, so
+    this oracle reuses them; it shares nothing else with the encoder.
+    """
+    vec = np.zeros(dimension, dtype=np.float64)
+    for token in tokenize(text):
+        vec[stable_bucket(token, seed, dimension)] += 1.0
+    norm = float(np.linalg.norm(vec))
+    return vec if norm == 0.0 else vec / norm
+
+
+def split_sentences_by_scanning(text: str, guard: frozenset[str]) -> list[str]:
+    """Sentence split by testing every character in turn.
+
+    A ``.``, ``!`` or ``?`` ends a sentence when whitespace and then an
+    uppercase letter follow it, or when only whitespace follows it; a
+    period does not when the letters right before it form a guarded word.
+    """
+    sentences = []
+    start = 0
+    for i in range(len(text)):
+        if text[i] not in ".!?":
+            continue
+        j = i + 1
+        while j < len(text) and text[j].isspace():
+            j += 1
+        if j < len(text) and (j == i + 1 or not text[j].isupper()):
+            continue
+        if text[i] == ".":
+            k = i
+            while k > 0 and text[k - 1].isalpha():
+                k -= 1
+            if text[k:i].lower() in guard:
+                continue
+        piece = text[start : i + 1].strip()
+        if piece:
+            sentences.append(piece)
+        start = i + 1
+    if text[start:].strip():
+        sentences.append(text[start:].strip())
+    return sentences

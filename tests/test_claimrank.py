@@ -70,6 +70,7 @@ class TestRankSentences:
             ]
             order = sorted(range(len(sentences)), key=lambda i: (distances[i], i))
             assert [r.index for r in ranked] == order
+            assert [r.distance for r in ranked] == [min(2.0, max(0.0, distances[i])) for i in order]
 
     def test_rank_invariant_under_monotone_distance_transform(self, backend):
         body = _random_article(random.Random(23))

@@ -1,4 +1,6 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +11,17 @@ from hypothesis import strategies as st
 from claimcheck.encode import (
     EncoderBackend,
     HashedBagEncoder,
+    HashedFeaturizer,
     cosine_distance,
     encode,
+    encode_batch,
     l2_normalize,
     reference_encode,
     stable_bucket,
 )
 from claimcheck.errors import EncodeError
+from claimcheck.textproc import has_tokens, tokenize
+from oracles import hashed_bag_by_loop
 
 PINS_PATH = Path(__file__).parent / "data" / "encoder_pins.json"
 
@@ -99,7 +105,111 @@ class TestEncodeContract:
             encode(Short(), "text")
 
 
+# (seed, dimension) pairs; each gets its own bucket table.
+_SETTINGS = [(0, 256), (3, 64), (-7, 1024), (11, 8)]
+_texts = st.lists(
+    st.text(alphabet=st.sampled_from("abcdeXYZ019 .,!?\u00e9\u00df"), min_size=1, max_size=60).filter(has_tokens),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestBatchedEncoding:
+    @given(_texts, st.sampled_from(_SETTINGS))
+    def test_rows_are_bit_identical_to_per_text_encoding(self, texts, setting):
+        seed, dimension = setting
+        matrix = HashedBagEncoder(dimension=dimension, seed=seed).encode_batch(texts)
+        assert matrix.shape == (len(texts), dimension)
+        for text, row in zip(texts, matrix):
+            assert np.array_equal(row, reference_encode(text, dimension=dimension, seed=seed))
+            assert np.array_equal(row, hashed_bag_by_loop(text, dimension, seed))
+
+    @given(_texts, st.sampled_from(_SETTINGS))
+    def test_token_table_agrees_with_stable_bucket(self, texts, setting):
+        seed, dimension = setting
+        featurizer = HashedFeaturizer(dimension, seed)
+        featurizer.unit_rows([tokenize(text) for text in texts])
+        assert set(featurizer.table) == {token for text in texts for token in tokenize(text)}
+        for token, bucket in featurizer.table.items():
+            assert bucket == stable_bucket(token, seed, dimension)
+
+    def test_warm_table_gives_the_same_bits(self, backend):
+        texts = ["alpha bravo alpha", "charlie", "bravo bravo delta"]
+        cold = backend.encode_batch(texts)
+        assert np.array_equal(backend.encode_batch(list(reversed(texts))), cold[::-1])
+
+    def test_concurrent_fills_of_one_table_agree(self):
+        # More threads than cores and a short switch interval, so table fills
+        # from different threads interleave.
+        texts = [" ".join(f"tok{(i * 7 + j) % 500}" for j in range(40)) for i in range(64)]
+        expected = HashedBagEncoder(dimension=128, seed=5).encode_batch(texts)
+        shared = HashedBagEncoder(dimension=128, seed=5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(shared.encode_batch, texts[i::8]) for i in range(8)]
+                results = [future.result(timeout=30) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, matrix in enumerate(results):
+            assert np.array_equal(matrix, expected[i::8])
+        assert all(b == stable_bucket(t, 5, 128) for t, b in shared._featurizer.table.items())
+
+    def test_empty_token_list_gives_a_zero_row(self):
+        rows = HashedFeaturizer(16, 0).unit_rows([[], ["a"]])
+        assert not rows[0].any()
+        assert np.linalg.norm(rows[1]) == 1.0
+
+    def test_contract_checks_the_whole_matrix(self, backend):
+        matrix = encode_batch(backend, ["one text", "another text"])
+        assert matrix.shape == (2, 64)
+        assert encode_batch(backend, []).shape == (0, 64)
+
+    def test_text_without_tokens_fails_the_batch(self, backend):
+        with pytest.raises(EncodeError, match="no tokens"):
+            encode_batch(backend, ["fine", "..."])
+        with pytest.raises(EncodeError, match="no tokens"):
+            backend.encode_batch(["fine", "..."])
+
+    def test_default_batch_stacks_encode(self):
+        class Stub(EncoderBackend):
+            name = "stub"
+            dimension = 8
+
+            def encode(self, text):
+                return l2_normalize(np.arange(1.0, 9.0) + len(text))
+
+        matrix = encode_batch(Stub(), ["a", "bbb"])
+        assert np.array_equal(matrix, np.stack([Stub().encode("a"), Stub().encode("bbb")]))
+        assert encode_batch(Stub(), []).shape == (0, 8)
+
+    @pytest.mark.parametrize(
+        "vector,message",
+        [(np.ones(8), "non-unit"), (l2_normalize(np.ones(4)), "shape"), (np.full(8, np.nan), "non-finite")],
+    )
+    def test_default_batch_is_checked(self, vector, message):
+        class Broken(EncoderBackend):
+            name = "broken"
+            dimension = 8
+
+            def encode(self, text):
+                return vector
+
+        with pytest.raises(EncodeError, match=message):
+            encode_batch(Broken(), ["text", "more"])
+
+
 class TestCosineDistance:
+    def test_matrix_gives_the_per_row_distances(self, backend):
+        signal = backend.encode("alpha bravo charlie")
+        matrix = backend.encode_batch(["alpha", "bravo delta", "echo", "alpha bravo charlie"])
+        assert cosine_distance(signal, matrix) == [cosine_distance(signal, row.copy()) for row in matrix]
+
+    def test_matrix_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            cosine_distance(np.ones(3), np.ones((2, 4)))
+
     def test_identical(self):
         v = l2_normalize(np.array([1.0, 2.0, 3.0]))
         assert cosine_distance(v, v) == pytest.approx(0.0, abs=1e-12)

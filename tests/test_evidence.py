@@ -318,4 +318,5 @@ class TestGatherEvidence:
                 pool.append((dist, order, idx, sentence))
         pool.sort()
         assert [s.text for s in evidence.sentences] == [p[3] for p in pool[:3]]
+        assert [s.distance for s in evidence.sentences] == [min(2.0, max(0.0, p[0])) for p in pool[:3]]
         assert evidence.concatenated == " ".join(p[3] for p in pool[:3])

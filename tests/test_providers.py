@@ -108,6 +108,17 @@ class TestResponseCache:
         cache.put(key, [{"url": "second"}])
         assert cache.get(key) == [{"url": "first"}]
 
+    def test_put_leaves_a_concurrent_writers_temp_file_alone(self, tmp_path):
+        # Another writer of the same key is midway through its temp file.
+        cache = ResponseCache(tmp_path / "cache")
+        key = ResponseCache.key("live", "q")
+        in_progress = tmp_path / "cache" / f"{key}.tmp"
+        in_progress.write_text("[partial", encoding="utf-8")
+        cache.put(key, [{"url": "https://example.com/a"}])
+        assert cache.get(key) == [{"url": "https://example.com/a"}]
+        assert in_progress.read_text(encoding="utf-8") == "[partial"
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [f"{key}.json", f"{key}.tmp"]
+
     def test_key_is_stable_and_distinct(self):
         assert ResponseCache.key("live", "q") == ResponseCache.key("live", "q")
         assert ResponseCache.key("live", "q") != ResponseCache.key("live", "other")
@@ -178,6 +189,16 @@ class TestLiveProvider:
         second = offline.search("q")
         assert second == first
         assert len(calls) == 1
+
+    def test_malformed_result_is_not_cached(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(API_ENV, "secret")
+        bodies = [json.dumps([{"title": "no url"}]).encode(), json.dumps(_payload()).encode()]
+        provider = self._provider(tmp_path, lambda url, headers, timeout: (200, bodies.pop(0)))
+        with pytest.raises(FatalSearchError, match="malformed"):
+            provider.search("q")
+        assert not list((tmp_path / "cache").iterdir())
+        # The endpoint recovers; the bad answer must not replay from the cache.
+        assert [r.url for r in provider.search("q")] == ["https://example.com/0", "https://example.com/1"]
 
     def test_rate_limiter_engaged(self, monkeypatch, tmp_path):
         monkeypatch.setenv(API_ENV, "secret")

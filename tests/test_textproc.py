@@ -6,14 +6,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from claimcheck.textproc import (
+    DEFAULT_ABBREVIATIONS,
     RougeScore,
+    has_tokens,
     load_abbreviations,
     rouge1,
     rouge_l,
     split_sentences,
     tokenize,
 )
-from oracles import clipped_unigram_overlap, lcs_length_full_table, precision_recall_f1
+from oracles import (
+    clipped_unigram_overlap,
+    lcs_length_full_table,
+    precision_recall_f1,
+    split_sentences_by_scanning,
+)
 
 # Latin through Latin Extended-B keeps lowercasing total; the tokenizer is
 # built for news text, not for exotic cased symbols.
@@ -22,6 +29,17 @@ _text_strategy = st.text(
 )
 
 _ascii_prose = st.text(alphabet=" .!?,;ABCDEFabcdefgh0123\n\t", max_size=200)
+
+# News-like fragments dense in terminators, guarded abbreviations, quotes
+# and digits, glued together with and without spaces.
+_fragments = st.sampled_from(
+    [
+        ".", "!", "?", "...", "?!", " ", "  ", "\n", "\t", "\u00a0", '"', "'", "\u201c", "\u201d", "(", ")",
+        "Dr", "dr", "Mr", "St", "etc", "No", "no", "U.S", "Fig", "2017", "3.5", "42", "A", "b",
+        "The", "said", "Zoe", "\u00c9t\u00e9", "\u00e9l\u00e8ve", "\u0130stanbul", "\u00df",
+    ]
+)
+_terminator_dense = st.lists(_fragments, max_size=60).map("".join)
 
 
 class TestTokenize:
@@ -33,6 +51,10 @@ class TestTokenize:
 
     def test_digits_kept(self):
         assert tokenize("42 cats in 2017") == ["42", "cats", "in", "2017"]
+
+    @given(st.one_of(_text_strategy, _terminator_dense))
+    def test_has_tokens_agrees_with_tokenize(self, text):
+        assert has_tokens(text) == bool(tokenize(text))
 
     @given(_text_strategy)
     def test_tokens_lowercase_and_punctuation_free(self, text):
@@ -70,6 +92,14 @@ class TestSplitSentences:
         assert split_sentences("See Fig. 2 now. Done.", guard) == ["See Fig. 2 now.", "Done."]
         # "Dr" is not in the custom guard, so it splits there.
         assert split_sentences("Dr. Smith spoke.", guard) == ["Dr.", "Smith spoke."]
+
+    @given(st.one_of(_terminator_dense, _ascii_prose, _text_strategy))
+    def test_matches_character_scan(self, text):
+        assert split_sentences(text) == split_sentences_by_scanning(text, DEFAULT_ABBREVIATIONS)
+
+    @given(_terminator_dense, st.frozensets(st.sampled_from(["dr", "st", "etc", "no", "u", "s", "zoe"])))
+    def test_matches_character_scan_under_custom_guard(self, text, guard):
+        assert split_sentences(text, guard) == split_sentences_by_scanning(text, guard)
 
     @given(_ascii_prose)
     def test_token_conservation(self, text):

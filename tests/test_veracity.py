@@ -22,6 +22,7 @@ from claimcheck.veracity import (
     split_dataset,
     train,
 )
+from oracles import hashed_bag_by_loop
 
 
 class TestFeaturizeContent:
@@ -228,6 +229,13 @@ class TestReferenceClassifier:
                     numeric = (loss_plus - loss_minus) / (2 * h)
                     denom = max(abs(numeric), abs(grad[index]), 1e-8)
                     assert abs(numeric - grad[index]) / denom < 1e-4
+
+    @pytest.mark.parametrize("seed,dimension", [(0, 1024), (5, 32)])
+    def test_features_are_bit_identical_to_the_hashing_loop(self, seed, dimension):
+        backend = HashedLinearClassifier(dimension=dimension, seed=seed)
+        texts = ["claim text [SEP] [NO_EVIDENCE]", "Evidence: 42 units, 42 again.", "", "..."]
+        for text in texts + texts:  # the second round reads a warm token table
+            assert np.array_equal(backend.features(text), hashed_bag_by_loop(text, dimension, seed))
 
     def test_snapshot_roundtrip(self, tmp_path):
         backend = HashedLinearClassifier(dimension=64, seed=3, learning_rate=0.5)
