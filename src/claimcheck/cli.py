@@ -68,7 +68,6 @@ def _load_corpus(source: str, dataset: str | None) -> list[Article]:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    _load_config(args)
     path = fixtures.fixture_corpus_path() if args.path == fixtures.FIXTURE_CORPUS_NAME else args.path
     result = ingest(path, DatasetKind(args.dataset), fmt=args.format)
     normalized = normalize_articles(result.articles)
@@ -197,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
 
     p_ingest = sub.add_parser("ingest", help="normalize a corpus file into a store")
-    common(p_ingest)
     p_ingest.add_argument("--path", default=fixtures.FIXTURE_CORPUS_NAME, help="corpus file or 'fixture'")
     p_ingest.add_argument("--dataset", choices=[d.value for d in DatasetKind], default="fixture")
     p_ingest.add_argument("--format", choices=["csv", "jsonl"], default=None)
@@ -240,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_stats = sub.add_parser("stats", help="label distribution of records or a corpus")
-    common(p_stats)
     p_stats.add_argument("--records", type=Path, default=None)
     p_stats.add_argument("--corpus", default=fixtures.FIXTURE_CORPUS_NAME)
     p_stats.add_argument("--dataset", default=None)

@@ -7,12 +7,11 @@ empty config runs the whole pipeline hermetically.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import fixtures
+from . import fixtures, jsonio
 from .encode import EncoderBackend, HashedBagEncoder
 from .errors import ConfigError
 from .evidence import (
@@ -87,46 +86,8 @@ class PipelineConfig:
     seed: int = 0
 
 
-def _build(cls, data: dict, context: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"config section {context!r} must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in config section {context!r}: {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config section {context!r}: {exc}") from exc
-
-
 def config_from_dict(data: dict) -> PipelineConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    sections = {
-        "encoder": EncoderSettings,
-        "summarizer": SummarizerSettings,
-        "classifier": ClassifierSettings,
-        "provider": ProviderSettings,
-        "train": TrainConfig,
-    }
-    kwargs = {}
-    for key, cls in sections.items():
-        if key in data:
-            section = dict(data[key])
-            if key == "train" and "split" in section:
-                section["split"] = tuple(section["split"])
-            kwargs[key] = _build(cls, section, key)
-    scalar_keys = {f.name for f in dataclasses.fields(PipelineConfig)} - set(sections)
-    unknown = set(data) - set(sections) - scalar_keys
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in scalar_keys & set(data):
-        kwargs[key] = data[key]
-    try:
-        return PipelineConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
+    return jsonio.CODEC.decode(PipelineConfig, data, "config", error=ConfigError)
 
 
 def load_config(path: str | Path) -> PipelineConfig:

@@ -17,6 +17,7 @@ from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
+from . import jsonio
 from .errors import IngestError, LabelMappingError
 
 logger = logging.getLogger(__name__)
@@ -58,7 +59,6 @@ DEFAULT_LABEL_TABLE: Mapping[str, Union[VeracityLabel, _Drop]] = {
 }
 
 _REQUIRED_COLUMNS = ("id", "headline", "body", "raw_label")
-_OPTIONAL_COLUMNS = ("published", "source_domain", "claim")
 
 # Default on-disk format per dataset; override via the ``fmt`` argument.
 _DEFAULT_FORMATS = {
@@ -264,44 +264,9 @@ def label_distribution(articles: Sequence[Article]) -> dict[VeracityLabel, int]:
 
 def save_store(articles: Sequence[Article], path: str | Path) -> None:
     """Write normalized articles as deterministic JSON lines."""
-    lines = []
-    for a in articles:
-        obj = {
-            "id": a.id,
-            "headline": a.headline,
-            "body": a.body,
-            "dataset": a.dataset.value,
-            "raw_label": a.raw_label,
-            "published": a.published.isoformat() if a.published else None,
-            "source_domain": a.source_domain,
-            "label": int(a.label) if a.label is not None else None,
-            "claim": a.claim,
-        }
-        lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    jsonio.CODEC.write_lines(articles, path)
 
 
 def load_store(path: str | Path) -> list[Article]:
     """Read articles written by ``save_store``."""
-    articles = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"store line {line_no}: invalid JSON ({exc.msg})") from None
-        articles.append(
-            Article(
-                id=obj["id"],
-                headline=obj["headline"],
-                body=obj["body"],
-                dataset=DatasetKind(obj["dataset"]),
-                raw_label=obj["raw_label"],
-                published=date.fromisoformat(obj["published"]) if obj.get("published") else None,
-                source_domain=obj.get("source_domain"),
-                label=VeracityLabel(obj["label"]) if obj.get("label") is not None else None,
-                claim=obj.get("claim"),
-            )
-        )
-    return articles
+    return jsonio.CODEC.read_lines(Article, path, "store", error=IngestError)

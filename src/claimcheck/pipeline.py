@@ -16,14 +16,14 @@ import logging
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from datetime import date
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import jsonio
 from .claimrank import (
     ClaimSet,
     InternalSignal,
@@ -34,7 +34,6 @@ from .claimrank import (
 )
 from .config import (
     PipelineConfig,
-    build_classifier,
     build_encoder,
     build_provider,
     build_summarizer,
@@ -43,16 +42,14 @@ from .config import (
 )
 from .corpus import Article, VeracityLabel
 from .encode import EncoderBackend
-from .errors import PipelineError
+from .errors import ClaimCheckError, PipelineError
 from .evidence import (
     CredibleDomainList,
     EvidenceArticle,
-    EvidenceSentence,
     EvidenceSet,
     Query,
     QueryOrigin,
     SearchProvider,
-    SearchResult,
     build_query,
     gather_evidence,
 )
@@ -75,39 +72,25 @@ class PipelineVariant(str, Enum):
 
 @dataclass
 class PipelineRuntime:
-    """Resolved backends and knobs for one pipeline run."""
+    """A pipeline config and the backends built from it for one run."""
 
+    config: PipelineConfig
     encoder: EncoderBackend
     summarizer: SummarizerBackend
     provider: SearchProvider
     credible: CredibleDomainList
-    claims_k: int = 3
-    min_claim_sentence_tokens: int = 0
-    query_word_limit: int = 40
-    date_window_months: int = 3
-    max_search_results: int = 35
-    max_evidence_articles: int = 3
-    max_evidence_sentences: int = 3
     abbreviations: frozenset[str] | None = None
-    workers: int = 1
 
 
 def build_runtime(config: PipelineConfig, provider: SearchProvider | None = None) -> PipelineRuntime:
     abbreviations = load_abbreviation_guard(config)
     return PipelineRuntime(
+        config=config,
         encoder=build_encoder(config.encoder),
         summarizer=build_summarizer(config.summarizer, abbreviations),
         provider=provider if provider is not None else build_provider(config.provider),
         credible=load_credible_list(config),
-        claims_k=config.claims_k,
-        min_claim_sentence_tokens=config.min_claim_sentence_tokens,
-        query_word_limit=config.query_word_limit,
-        date_window_months=config.date_window_months,
-        max_search_results=config.max_search_results,
-        max_evidence_articles=config.max_evidence_articles,
-        max_evidence_sentences=config.max_evidence_sentences,
         abbreviations=abbreviations,
-        workers=config.workers,
     )
 
 
@@ -136,7 +119,7 @@ def derive_stages(article: Article, variant: PipelineVariant, runtime: PipelineR
     if variant is PipelineVariant.P3_HEADLINE_PLUS_SUMMARY:
         # No per-sentence ranking: the gist itself goes downstream.
         claim = signal.text
-        query = build_query(article.headline, summary, QueryOrigin.P3, runtime.query_word_limit)
+        query = build_query(article.headline, summary, QueryOrigin.P3, runtime.config.query_word_limit)
         return StageOutputs(signal=signal, ranked=None, claim=claim, query=query)
 
     ranked = tuple(
@@ -144,12 +127,12 @@ def derive_stages(article: Article, variant: PipelineVariant, runtime: PipelineR
             article.body,
             signal,
             runtime.encoder,
-            min_sentence_tokens=runtime.min_claim_sentence_tokens,
+            min_sentence_tokens=runtime.config.min_claim_sentence_tokens,
             abbreviations=runtime.abbreviations,
         )
     )
-    claims: ClaimSet = select_claims(list(ranked), runtime.claims_k)
-    query = build_query(article.headline, claims.concatenated, QueryOrigin.P1_P2, runtime.query_word_limit)
+    claims: ClaimSet = select_claims(list(ranked), runtime.config.claims_k)
+    query = build_query(article.headline, claims.concatenated, QueryOrigin.P1_P2, runtime.config.query_word_limit)
     return StageOutputs(signal=signal, ranked=ranked, claim=claims.concatenated, query=query)
 
 
@@ -157,9 +140,9 @@ def derive_stages(article: Article, variant: PipelineVariant, runtime: PipelineR
 class PipelineRecord:
     """Per-article trace of one pipeline run.
 
-    ``label`` is the gold label with the NEI override applied; ``timings``
-    are diagnostic and deliberately excluded from serialization so records
-    files are byte-stable across runs.
+    ``label`` is the gold label with the NEI override applied. ``timings``
+    are diagnostic; the constructor does not take them, which keeps them
+    out of records files, so those are byte-stable across runs.
     """
 
     article_id: str
@@ -176,120 +159,41 @@ class PipelineRecord:
     predicted_label: VeracityLabel | None = None
     predicted_probabilities: tuple[float, ...] | None = None
     error: str | None = None
-    timings: dict[str, float] = field(default_factory=dict)
+    timings: dict[str, float] = field(default_factory=dict, init=False)
 
     def to_dict(self) -> dict:
-        evidence = None
-        if self.evidence is not None:
-            evidence = {
-                "articles": [
-                    {
-                        "url": ea.result.url,
-                        "domain": ea.result.domain,
-                        "title": ea.result.title,
-                        "published": ea.result.published.isoformat() if ea.result.published else None,
-                        "provider_rank": ea.result.provider_rank,
-                        "passed_filters": ea.passed_filters,
-                        "date_check_applicable": ea.date_check_applicable,
-                    }
-                    for ea in self.evidence.articles
-                ],
-                "sentences": [
-                    {
-                        "text": s.text,
-                        "distance": float(s.distance),
-                        "source_url": s.source_url,
-                        "article_order": s.article_order,
-                        "sentence_index": s.sentence_index,
-                    }
-                    for s in self.evidence.sentences
-                ],
-                "concatenated": self.evidence.concatenated,
-            }
-        return {
-            "schema": RECORD_SCHEMA,
-            "article_id": self.article_id,
-            "variant": self.variant.value,
-            "gold_label": int(self.gold_label) if self.gold_label is not None else None,
-            "label": int(self.label) if self.label is not None else None,
-            "signal_kind": self.signal_kind,
-            "signal_text": self.signal_text,
-            "ranked": [
-                {"index": r.index, "text": r.text, "distance": float(r.distance), "rank": r.rank}
-                for r in self.ranked
-            ]
-            if self.ranked is not None
-            else None,
-            "claim": self.claim,
-            "query": self.query,
-            "article_date_missing": self.article_date_missing,
-            "evidence": evidence,
-            "predicted_label": int(self.predicted_label) if self.predicted_label is not None else None,
-            "predicted_probabilities": list(self.predicted_probabilities)
-            if self.predicted_probabilities is not None
-            else None,
-            "error": self.error,
-        }
+        return json.loads(_RECORDS.dumps(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineRecord":
-        if data.get("schema") != RECORD_SCHEMA:
-            raise ValueError(f"unsupported record schema {data.get('schema')!r}")
-        evidence = None
-        if data.get("evidence") is not None:
-            ev = data["evidence"]
-            evidence = EvidenceSet(
-                articles=tuple(
-                    EvidenceArticle(
-                        result=SearchResult(
-                            url=a["url"],
-                            domain=a["domain"],
-                            title=a.get("title", ""),
-                            body="",  # full bodies are not persisted
-                            provider_rank=a["provider_rank"],
-                            published=date.fromisoformat(a["published"]) if a.get("published") else None,
-                        ),
-                        date_check_applicable=a["date_check_applicable"],
-                    )
-                    for a in ev["articles"]
-                ),
-                sentences=tuple(
-                    EvidenceSentence(
-                        text=s["text"],
-                        distance=s["distance"],
-                        source_url=s["source_url"],
-                        article_order=s["article_order"],
-                        sentence_index=s["sentence_index"],
-                    )
-                    for s in ev["sentences"]
-                ),
-                concatenated=ev["concatenated"],
-            )
-        return cls(
-            article_id=data["article_id"],
-            variant=PipelineVariant(data["variant"]),
-            gold_label=VeracityLabel(data["gold_label"]) if data.get("gold_label") is not None else None,
-            label=VeracityLabel(data["label"]) if data.get("label") is not None else None,
-            signal_kind=data.get("signal_kind"),
-            signal_text=data.get("signal_text"),
-            ranked=tuple(
-                RankedSentence(index=r["index"], text=r["text"], distance=r["distance"], rank=r["rank"])
-                for r in data["ranked"]
-            )
-            if data.get("ranked") is not None
-            else None,
-            claim=data.get("claim"),
-            query=data.get("query"),
-            article_date_missing=data.get("article_date_missing", False),
-            evidence=evidence,
-            predicted_label=VeracityLabel(data["predicted_label"])
-            if data.get("predicted_label") is not None
-            else None,
-            predicted_probabilities=tuple(data["predicted_probabilities"])
-            if data.get("predicted_probabilities") is not None
-            else None,
-            error=data.get("error"),
-        )
+        return _RECORDS.decode(cls, data, "record")
+
+
+# A stored evidence article is its search result's fields, minus the body
+# (full bodies are not persisted), next to the article's own fields.
+_OWN_KEYS = frozenset(f.name for f in fields(EvidenceArticle)) - {"result"}
+
+
+def _flat_evidence_article(evidence_article: EvidenceArticle) -> dict:
+    # Both are plain dataclasses, so an instance's attributes are its fields.
+    flat = {**vars(evidence_article.result), **vars(evidence_article)}
+    del flat["result"], flat["body"]
+    return flat
+
+
+def _nested_evidence_article(flat: dict) -> dict:
+    if type(flat) is not dict:
+        raise ValueError(f"expected an object, got {type(flat).__name__}")
+    nested = {key: flat.pop(key) for key in _OWN_KEYS if key in flat}
+    flat["body"] = ""
+    nested["result"] = flat
+    return nested
+
+
+_RECORDS = jsonio.Codec(
+    tags={PipelineRecord: ("schema", RECORD_SCHEMA)},
+    custom={EvidenceArticle: (_flat_evidence_article, _nested_evidence_article)},
+)
 
 
 def _process_article(article: Article, variant: PipelineVariant, runtime: PipelineRuntime) -> PipelineRecord:
@@ -317,16 +221,16 @@ def _process_article(article: Article, variant: PipelineVariant, runtime: Pipeli
             runtime.provider,
             runtime.credible,
             runtime.encoder,
-            months=runtime.date_window_months,
-            max_results=runtime.max_search_results,
-            max_articles=runtime.max_evidence_articles,
-            max_sentences=runtime.max_evidence_sentences,
+            months=runtime.config.date_window_months,
+            max_results=runtime.config.max_search_results,
+            max_articles=runtime.config.max_evidence_articles,
+            max_sentences=runtime.config.max_evidence_sentences,
             abbreviations=runtime.abbreviations,
         )
         record.evidence = evidence
         record.timings["evidence"] = time.monotonic() - retrieval_started
         record.label = VeracityLabel.NEI if evidence.is_empty else article.label
-    except Exception as exc:  # noqa: BLE001  (batch resilience: capture, keep going)
+    except (ClaimCheckError, ValueError) as exc:  # bad input: record it, keep going
         logger.warning("article %s failed in variant %s: %s", article.id, variant.value, exc)
         record.error = f"{type(exc).__name__}: {exc}"
     record.timings["total"] = time.monotonic() - started
@@ -340,11 +244,12 @@ def run_pipeline(
 
     One article failing (a flaky provider, an unencodable sentence) marks
     that record with an error and the batch continues. Only a batch where
-    every article failed raises.
+    every article failed raises. Other exceptions are programming errors
+    and propagate.
     """
     if not articles:
         return []
-    workers = runtime.workers
+    workers = runtime.config.workers
     if not (runtime.encoder.thread_safe and runtime.summarizer.thread_safe):
         workers = 1  # a backend declared itself single-threaded
     if workers > 1:
@@ -361,16 +266,11 @@ def run_pipeline(
 
 def write_records(records: Sequence[PipelineRecord], path: str | Path) -> None:
     """One canonical-JSON record per line; stable bytes for fixed inputs."""
-    lines = [json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) for r in records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    _RECORDS.write_lines(records, path)
 
 
 def read_records(path: str | Path) -> list[PipelineRecord]:
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(PipelineRecord.from_dict(json.loads(line)))
-    return records
+    return _RECORDS.read_lines(PipelineRecord, path, "record")
 
 
 def records_label_distribution(records: Sequence[PipelineRecord]) -> dict[VeracityLabel, int]:

@@ -22,6 +22,7 @@ from datetime import date
 from pathlib import Path
 from typing import Callable
 
+from . import jsonio
 from .errors import ConfigError, FatalSearchError, RetryableSearchError
 from .evidence import SearchProvider, SearchResult, registrable_domain
 
@@ -161,7 +162,7 @@ class ResponseCache:
         # A temp file of its own, so concurrent writers of one key never share one.
         tmp = self._dir / f"{key}.{uuid.uuid4().hex}.part"
         try:
-            tmp.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")), encoding="utf-8")
+            tmp.write_text(jsonio.CODEC.dumps(payload), encoding="utf-8")
             tmp.replace(path)
         except BaseException:
             tmp.unlink(missing_ok=True)

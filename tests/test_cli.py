@@ -119,3 +119,19 @@ def test_bad_config_key_is_reported(tmp_path, capsys):
     config.write_text(json.dumps({"no_such_key": 1}), encoding="utf-8")
     assert main(["run", "--pipeline", "p1", "--config", str(config)]) == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--out", "store.jsonl", "--config", "config.json"],
+        ["ingest", "--out", "store.jsonl", "--seed", "3"],
+        ["stats", "--config", "config.json"],
+        ["stats", "--seed", "3"],
+    ],
+)
+def test_configless_commands_take_no_config_options(argv):
+    # ingest and stats read no config, so these options would do nothing.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2

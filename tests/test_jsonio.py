@@ -1,0 +1,271 @@
+"""The dataclass <-> JSON codec behind records, the article store and config.
+
+Round trips run on generated values; bad input must surface as the error
+type each reader documents (``ValueError`` for records, ``IngestError`` for
+the store, ``ConfigError`` for config), never as a bare ``TypeError`` or
+``KeyError``, because the CLI reports only package errors, ``ValueError``
+and ``OSError`` as errors.
+"""
+
+import dataclasses
+import json
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from claimcheck.claimrank import RankedSentence
+from claimcheck.cli import main
+from claimcheck.config import config_from_dict
+from claimcheck.corpus import Article, DatasetKind, VeracityLabel, load_store, save_store
+from claimcheck.errors import ConfigError, IngestError
+from claimcheck.evidence import EvidenceArticle, EvidenceSentence, EvidenceSet, SearchResult
+from claimcheck.pipeline import PipelineRecord, PipelineVariant, read_records, write_records
+
+texts = st.text(max_size=30)
+optional_texts = st.none() | texts
+floats = st.floats(allow_nan=False, allow_infinity=False)
+optional_labels = st.none() | st.sampled_from(VeracityLabel)
+optional_dates = st.none() | st.dates()
+
+articles = st.builds(
+    Article,
+    id=texts,
+    headline=texts,
+    body=texts,
+    dataset=st.sampled_from(DatasetKind),
+    raw_label=texts,
+    published=optional_dates,
+    source_domain=optional_texts,
+    label=optional_labels,
+    claim=optional_texts,
+)
+
+search_results = st.builds(
+    SearchResult,
+    url=texts,
+    domain=texts,
+    title=texts,
+    body=texts,
+    provider_rank=st.integers(),
+    published=optional_dates,
+)
+
+evidence_sets = st.builds(
+    EvidenceSet,
+    articles=st.lists(
+        st.builds(EvidenceArticle, result=search_results, date_check_applicable=st.booleans(), passed_filters=st.booleans()),
+        max_size=3,
+    ).map(tuple),
+    sentences=st.lists(
+        st.builds(
+            EvidenceSentence,
+            text=texts,
+            distance=floats,
+            source_url=texts,
+            article_order=st.integers(),
+            sentence_index=st.integers(),
+        ),
+        max_size=3,
+    ).map(tuple),
+    concatenated=texts,
+)
+
+records = st.builds(
+    PipelineRecord,
+    article_id=texts,
+    variant=st.sampled_from(PipelineVariant),
+    gold_label=optional_labels,
+    label=optional_labels,
+    signal_kind=optional_texts,
+    signal_text=optional_texts,
+    ranked=st.none()
+    | st.lists(
+        st.builds(RankedSentence, index=st.integers(), text=texts, distance=floats, rank=st.integers()), max_size=4
+    ).map(tuple),
+    claim=optional_texts,
+    query=optional_texts,
+    article_date_missing=st.booleans(),
+    evidence=st.none() | evidence_sets,
+    predicted_label=optional_labels,
+    predicted_probabilities=st.none() | st.lists(floats, max_size=4).map(tuple),
+    error=optional_texts,
+)
+
+
+def _as_stored(record: PipelineRecord) -> PipelineRecord:
+    """What a record reads back as: no result bodies, and timings (which
+    ``replace`` does not copy) left out."""
+    evidence = record.evidence
+    if evidence is not None:
+        evidence = dataclasses.replace(
+            evidence,
+            articles=tuple(
+                dataclasses.replace(a, result=dataclasses.replace(a.result, body="")) for a in evidence.articles
+            ),
+        )
+    return dataclasses.replace(record, evidence=evidence)
+
+
+@given(st.lists(articles, max_size=4))
+def test_store_roundtrip(tmp_path_factory, items):
+    path = tmp_path_factory.mktemp("store") / "store.jsonl"
+    save_store(items, path)
+    assert load_store(path) == items
+
+
+@given(st.lists(records, max_size=3), st.dictionaries(texts, floats, max_size=2))
+def test_records_roundtrip(tmp_path_factory, items, timings):
+    for record in items:
+        record.timings.update(timings)
+    path = tmp_path_factory.mktemp("records") / "records.jsonl"
+    write_records(items, path)
+    loaded = read_records(path)
+    assert loaded == [_as_stored(r) for r in items]
+    assert [PipelineRecord.from_dict(r.to_dict()) for r in items] == loaded
+    # Reading and writing again gives the same bytes.
+    again = path.with_name("again.jsonl")
+    write_records(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _record_line(**changes) -> dict:
+    line = {"schema": "pipeline-record.v1", "article_id": "a1", "variant": "p1"}
+    line.update(changes)
+    return line
+
+
+_ARTICLE = {
+    "url": "https://example.org/a",
+    "domain": "example.org",
+    "title": "t",
+    "published": "2020-01-02",
+    "provider_rank": 1,
+    "passed_filters": True,
+    "date_check_applicable": True,
+}
+_EVIDENCE = {"articles": [_ARTICLE], "sentences": [], "concatenated": ""}
+
+
+def _write_lines(path, *objs):
+    path.write_text("".join(json.dumps(o) + "\n" for o in objs), encoding="utf-8")
+
+
+def test_minimal_record_line_reads(tmp_path):
+    path = tmp_path / "records.jsonl"
+    _write_lines(path, _record_line(evidence=_EVIDENCE))
+    (record,) = read_records(path)
+    assert record.variant is PipelineVariant.P1_HEADLINE
+    assert record.evidence.articles[0].result.body == ""
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (_record_line(bogus=1), r"unknown record keys: \['bogus'\]"),
+        (_record_line(timings={"total": 1.0}), "unknown record keys"),  # in memory only
+        (_record_line(evidence=dict(_EVIDENCE, extra=1)), "unknown keys in record field 'evidence'"),
+        (_record_line(evidence=dict(_EVIDENCE, articles=[dict(_ARTICLE, extra=1)])), "unknown keys"),
+        (_record_line(ranked=[{"index": 0, "text": "s", "distance": 0.1, "rank": 1, "x": 2}]), "unknown keys"),
+        ({"schema": "pipeline-record.v1", "variant": "p1"}, "article_id"),
+        (_record_line(variant="p9"), "variant"),
+        (_record_line(variant=None), "variant"),
+        (_record_line(gold_label=7), "gold_label"),
+        (_record_line(gold_label=[1]), "gold_label"),
+        (_record_line(ranked=5), "ranked"),
+        (_record_line(ranked=[5]), "ranked"),
+        (_record_line(ranked=[{"index": 0}]), "ranked"),
+        (_record_line(evidence=[]), "evidence"),
+        (_record_line(evidence=dict(_EVIDENCE, articles=[[1]])), "evidence.articles"),
+        (_record_line(evidence=dict(_EVIDENCE, articles=[dict(_ARTICLE, published=5)])), "published"),
+        (_record_line(evidence=dict(_EVIDENCE, articles=[dict(_ARTICLE, published="2020-13-01")])), "published"),
+        (_record_line(evidence=dict(_EVIDENCE, articles=[{"url": "u"}])), "evidence.articles"),
+        (_record_line(predicted_probabilities=0.5), "predicted_probabilities"),
+        (_record_line(article_date_missing=1), "article_date_missing"),
+        (_record_line(ranked=[{"index": "0", "text": "s", "distance": 0.1, "rank": 1}]), "expected int, got str"),
+        ({"schema": "other.v9"}, "schema"),
+        ([1, 2], "expected an object, got list"),
+        ("text", "expected an object, got str"),
+        (None, "expected an object, got NoneType"),
+    ],
+)
+def test_bad_record_line_is_a_value_error(tmp_path, line, message):
+    path = tmp_path / "records.jsonl"
+    _write_lines(path, line)
+    with pytest.raises(ValueError, match=message) as excinfo:
+        read_records(path)
+    assert str(excinfo.value).startswith("record line 1: ")
+    with pytest.raises(ValueError, match=message):
+        PipelineRecord.from_dict(line)
+
+
+def test_record_error_names_the_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    _write_lines(path, _record_line(), _record_line(), _record_line(bogus=1))
+    with pytest.raises(ValueError, match="record line 3: "):
+        read_records(path)
+    path.write_text("{broken\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="record line 1: invalid JSON"):
+        read_records(path)
+
+
+_STORED_ARTICLE = {"id": "a", "headline": "h", "body": "b", "dataset": "fixture", "raw_label": "true"}
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (dict(_STORED_ARTICLE, bogus=1), r"unknown store keys: \['bogus'\]"),
+        ({"id": "a"}, "headline"),
+        (dict(_STORED_ARTICLE, dataset="zzz"), "dataset"),
+        (dict(_STORED_ARTICLE, label=9), "label"),
+        (dict(_STORED_ARTICLE, published=5), "published"),
+        (dict(_STORED_ARTICLE, published="not a date"), "published"),
+        (dict(_STORED_ARTICLE, headline=5), "headline"),
+        ([1], "expected an object"),
+    ],
+)
+def test_bad_store_line_is_an_ingest_error(tmp_path, line, message):
+    path = tmp_path / "store.jsonl"
+    _write_lines(path, line)
+    with pytest.raises(IngestError, match=message):
+        load_store(path)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"train": {"epochs": 1, "bogus": 1}}, r"unknown keys in config field 'train': \['bogus'\]"),
+        ({"encoder": []}, "encoder"),
+        ({"train": {"split": 5}}, "train.split"),
+        ({"train": {"split": [0.5, 0.5]}}, "split must be three"),
+        ({"train": {"epochs": "x"}}, "train.epochs"),
+        ({"claims_k": "2"}, r"bad config field 'claims_k': expected int, got str"),
+        ({"provider": {"endpoint": 5}}, "provider.endpoint"),
+        ([], "config"),
+    ],
+)
+def test_bad_config_is_a_config_error(data, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(data)
+
+
+def test_config_split_reads_as_tuple():
+    config = config_from_dict({"train": {"split": [0.6, 0.2, 0.2], "learning_rate": 1}})
+    assert config.train.split == (0.6, 0.2, 0.2)
+    assert config.train.learning_rate == 1  # an int is a valid float
+
+
+def test_cli_reports_bad_config_value(tmp_path, capsys):
+    # A value of the wrong type is bad input, reported before any article runs.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"claims_k": "2"}), encoding="utf-8")
+    assert main(["run", "--pipeline", "p1", "--config", str(config)]) == 1
+    assert "error: bad config field 'claims_k'" in capsys.readouterr().err
+
+
+def test_cli_reports_bad_records_file(tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    _write_lines(path, _record_line(ranked=[5]))
+    assert main(["stats", "--records", str(path)]) == 1
+    assert "error: record line 1: bad record field 'ranked'" in capsys.readouterr().err

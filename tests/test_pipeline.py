@@ -102,7 +102,7 @@ class TestRunPipeline:
 
     def test_parallel_run_matches_serial(self, fixture_articles, runtime, tmp_path):
         serial = run_pipeline(fixture_articles, PipelineVariant.P1_HEADLINE, runtime)
-        parallel_runtime = dataclasses.replace(runtime, workers=4)
+        parallel_runtime = dataclasses.replace(runtime, config=dataclasses.replace(runtime.config, workers=4))
         parallel = run_pipeline(fixture_articles, PipelineVariant.P1_HEADLINE, parallel_runtime)
         a, b = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
         write_records(serial, a)
@@ -150,6 +150,21 @@ class TestBatchResilience:
         dead_runtime = dataclasses.replace(runtime, provider=Dead())
         with pytest.raises(PipelineError, match="every article failed"):
             run_pipeline(fixture_articles, PipelineVariant.P1_HEADLINE, dead_runtime)
+
+
+def test_programming_error_propagates(fixture_articles, runtime):
+    # Only input errors become one errored record; a bug in a backend stops the batch.
+    class Broken(SearchProvider):
+        name = "broken"
+
+        def search(self, query_text):
+            if "bridge toll" in query_text.lower():
+                raise TypeError("unsupported operand")
+            return runtime.provider.search(query_text)
+
+    broken = dataclasses.replace(runtime, provider=Broken())
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_pipeline(fixture_articles, PipelineVariant.P1_HEADLINE, broken)
 
 
 class TestRecordsIO:
