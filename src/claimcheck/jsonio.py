@@ -100,12 +100,19 @@ class Codec:
 
     def _plan(self, hint: Any) -> Callable[[Any], Any] | None:
         if typing.get_origin(hint) is tuple:  # tuple[X, ...] or tuple[X, X, X]: lists of one type
-            (item,) = {self._decoder(a) for a in typing.get_args(hint) if a is not Ellipsis}
+            (item_hint,) = {a for a in typing.get_args(hint) if a is not Ellipsis}
+            item = self._decoder(item_hint)
+            kinds = _SCALARS.get(item_hint, ())
 
             def decode_tuple(value: Any) -> tuple:
                 if type(value) not in (list, tuple):
                     raise TypeError(f"expected a list, got {type(value).__name__}")
-                return tuple(value) if item is None else tuple(map(item, value))
+                if item is not None:
+                    return tuple(map(item, value))
+                for index, entry in enumerate(value):
+                    if type(entry) not in kinds:
+                        raise TypeError(f"item {index}: expected {kinds[0].__name__}, got {type(entry).__name__}")
+                return tuple(value)
 
             return decode_tuple
         if dataclasses.is_dataclass(hint):

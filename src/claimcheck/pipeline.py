@@ -11,17 +11,16 @@ without re-searching.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from . import jsonio
 from .claimrank import (
@@ -55,7 +54,7 @@ from .evidence import (
 )
 from .summarize import SummarizerBackend, summarize
 from .textproc import rouge1, rouge_l, tokenize
-from .veracity import ClassifierBackend, LabeledText, featurize_concat, featurize_content
+from .veracity import ClassifierBackend, LabeledText, featurize_concat, featurize_content, predict_texts
 
 logger = logging.getLogger(__name__)
 
@@ -282,6 +281,10 @@ def records_label_distribution(records: Sequence[PipelineRecord]) -> dict[Veraci
     return counts
 
 
+def _concat_text(record: PipelineRecord) -> str:
+    return featurize_concat(record.claim, record.evidence.concatenated if record.evidence else "")
+
+
 def build_examples(
     records: Sequence[PipelineRecord],
     kind: str = "concat",
@@ -303,8 +306,7 @@ def build_examples(
         if record.error or record.label is None or not record.claim:
             continue
         if kind == "concat":
-            evidence_text = record.evidence.concatenated if record.evidence else ""
-            text = featurize_concat(record.claim, evidence_text)
+            text = _concat_text(record)
         else:
             article = articles_by_id.get(record.article_id)
             if article is None:
@@ -317,21 +319,19 @@ def build_examples(
 def annotate_predictions(
     records: Sequence[PipelineRecord], backend: ClassifierBackend
 ) -> list[PipelineRecord]:
-    """Fill predicted label and probabilities from claim+evidence features."""
-    annotated = []
-    for record in records:
-        if record.error or not record.claim:
-            annotated.append(record)
-            continue
-        evidence_text = record.evidence.concatenated if record.evidence else ""
-        probs = backend.predict_proba(featurize_concat(record.claim, evidence_text))
-        annotated.append(
-            replace(
-                record,
-                predicted_label=VeracityLabel(int(np.argmax(probs))),
-                predicted_probabilities=tuple(float(p) for p in probs),
-            )
-        )
+    """Fill predicted label and probabilities from claim+evidence features.
+
+    Records with an error or no claim are passed through; every other
+    record is copied, in-memory timings included, with its prediction set.
+    """
+    scored = [i for i, record in enumerate(records) if not record.error and record.claim]
+    probabilities = predict_texts(backend, [_concat_text(records[i]) for i in scored])
+    annotated = list(records)
+    for i, label, probs in zip(scored, probabilities.argmax(axis=1).tolist(), probabilities.tolist()):
+        record = annotated[i] = copy.copy(records[i])
+        record.timings = dict(records[i].timings)
+        record.predicted_label = VeracityLabel(label)
+        record.predicted_probabilities = tuple(probs)
     return annotated
 
 

@@ -10,7 +10,6 @@ checkable against finite differences.
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import math
@@ -37,6 +36,10 @@ CLASS_ORDER = ("false", "partial_true", "true", "nei")
 SNAPSHOT_FORMAT = "classifier-snapshot.v1"
 
 DEFAULT_CONTENT_WORDS = 500
+
+# Rows featurized at once: bounds the count matrices behind each step of
+# ``featurize`` and the feature rows held while scoring a long text list.
+CHUNK_ROWS = 64
 
 
 def featurize_content(article_body: str, n: int = DEFAULT_CONTENT_WORDS) -> str:
@@ -105,21 +108,31 @@ def split_dataset(items: Sequence, config: TrainConfig) -> tuple[list, list, lis
 
 
 class ClassifierBackend(ABC):
-    """4-way classifier slot: deterministic inference, epoch-wise training."""
+    """4-way classifier slot: deterministic inference, epoch-wise training.
+
+    Texts become an ``(n, d)`` feature matrix once, through ``featurize``;
+    training and prediction take that matrix, so a caller featurizes a
+    data set once however many epochs or scoring passes read it.
+    """
 
     name: str
 
     @abstractmethod
-    def predict_proba(self, text: str) -> np.ndarray:
-        """Probability vector over the 4 classes, summing to 1."""
+    def featurize(self, texts: Sequence[str]) -> np.ndarray:
+        """``(len(texts), d)`` feature matrix; row ``i`` depends on ``texts[i]`` only."""
 
     @abstractmethod
-    def train_epoch(self, examples: Sequence[LabeledText]) -> float:
-        """Run one training pass; return the loss before the update."""
+    def predict_proba(self, features: np.ndarray) -> np.ndarray:
+        """``(n, 4)`` class probabilities of ``n`` feature rows; each row sums to 1."""
+
+    @abstractmethod
+    def train_epoch(self, features: np.ndarray, labels: np.ndarray) -> float:
+        """Run one training pass over feature rows and their integer labels;
+        return the loss before the update."""
 
     @abstractmethod
     def get_params(self) -> dict:
-        """Snapshot of the trainable parameters."""
+        """Copy of the trainable parameters; later training leaves it as it is."""
 
     @abstractmethod
     def set_params(self, params: dict) -> None:
@@ -159,12 +172,24 @@ class HashedLinearClassifier(ClassifierBackend):
         self.bias = np.zeros(NUM_CLASSES, dtype=np.float64)
         self._featurizer = HashedFeaturizer(self.dimension, self.seed)
 
-    def features(self, text: str) -> np.ndarray:
-        return self._featurizer.unit_rows([tokenize(text)])[0]
+    def featurize(self, texts: Sequence[str]) -> np.ndarray:
+        rows = np.empty((len(texts), self.dimension))
+        for start in range(0, len(texts), CHUNK_ROWS):
+            chunk = texts[start : start + CHUNK_ROWS]
+            rows[start : start + len(chunk)] = self._featurizer.unit_rows([tokenize(text) for text in chunk])
+        return rows
 
-    def predict_proba(self, text: str) -> np.ndarray:
-        logits = self.weights @ self.features(text) + self.bias
-        return _softmax(logits)
+    def features(self, text: str) -> np.ndarray:
+        """Feature row of one text."""
+        return self.featurize([text])[0]
+
+    def predict_proba(self, features: np.ndarray) -> np.ndarray:
+        # One gemv per row: a single ``features @ weights.T`` gemm rounds
+        # differently and would change the probabilities written to records.
+        logits = np.array([self.weights @ row for row in features]).reshape(-1, NUM_CLASSES) + self.bias
+        logits -= logits.max(axis=1, keepdims=True)
+        exp = np.exp(logits)
+        return exp / exp.sum(axis=1, keepdims=True)
 
     def batch_loss_and_grad(
         self, features: np.ndarray, labels: np.ndarray
@@ -181,14 +206,12 @@ class HashedLinearClassifier(ClassifierBackend):
         delta /= n
         return loss, delta.T @ features, delta.sum(axis=0)
 
-    def train_epoch(self, examples: Sequence[LabeledText]) -> float:
-        """One pass over the examples; returns the example-weighted mean of
-        the per-batch losses, each measured before that batch's update."""
-        if not examples:
+    def train_epoch(self, features: np.ndarray, labels: np.ndarray) -> float:
+        """One pass over the rows; returns the example-weighted mean of the
+        per-batch losses, each measured before that batch's update."""
+        n = len(features)
+        if not n:
             raise ValueError("cannot train on an empty batch")
-        features = np.stack([self.features(ex.text) for ex in examples])
-        labels = np.array([int(ex.label) for ex in examples], dtype=np.intp)
-        n = len(examples)
         step = self.batch_size or n
         total_loss = 0.0
         for start in range(0, n, step):
@@ -244,12 +267,6 @@ class HashedLinearClassifier(ClassifierBackend):
         return model
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
-
-
 @dataclass(frozen=True)
 class EpochStats:
     epoch: int
@@ -265,14 +282,28 @@ class TrainResult:
     params: dict
 
 
+def predict_texts(backend: ClassifierBackend, texts: Sequence[str]) -> np.ndarray:
+    """``(len(texts), 4)`` probabilities, featurizing ``CHUNK_ROWS`` texts at a time."""
+    probabilities = np.empty((len(texts), NUM_CLASSES))
+    for start in range(0, len(texts), CHUNK_ROWS):
+        chunk = texts[start : start + CHUNK_ROWS]
+        probabilities[start : start + len(chunk)] = backend.predict_proba(backend.featurize(chunk))
+    return probabilities
+
+
+def _labels(examples: Sequence[LabeledText]) -> np.ndarray:
+    return np.array([int(ex.label) for ex in examples], dtype=np.intp)
+
+
+def _hit_rate(probabilities: np.ndarray, labels: np.ndarray) -> float:
+    return int(np.count_nonzero(probabilities.argmax(axis=1) == labels)) / len(labels)
+
+
 def label_accuracy(backend: ClassifierBackend, examples: Sequence[LabeledText]) -> float:
     """Fraction of examples whose argmax prediction matches the gold label."""
     if not examples:
         raise ValueError("cannot score an empty example set")
-    hits = sum(
-        1 for ex in examples if int(np.argmax(backend.predict_proba(ex.text))) == int(ex.label)
-    )
-    return hits / len(examples)
+    return _hit_rate(predict_texts(backend, [ex.text for ex in examples]), _labels(examples))
 
 
 def train(
@@ -283,8 +314,9 @@ def train(
 ) -> TrainResult:
     """Run exactly ``config.epochs`` epochs; keep the best-validation snapshot.
 
-    The backend is left holding the snapshot with the highest validation
-    label accuracy (earliest epoch wins ties).
+    Both sets are featurized once, before the first epoch. The backend is
+    left holding the snapshot with the highest validation label accuracy
+    (earliest epoch wins ties).
     """
     if not train_set:
         raise ValueError("training set is empty")
@@ -296,19 +328,21 @@ def train(
     if len(classes) == 1:
         logger.warning("training set contains a single class (%s)", next(iter(classes)).name)
 
+    train_features, train_labels = backend.featurize([ex.text for ex in train_set]), _labels(train_set)
+    val_features, val_labels = backend.featurize([ex.text for ex in validation_set]), _labels(validation_set)
     log: list[EpochStats] = []
     best_params: dict | None = None
     best_epoch = 0
     best_la = -1.0
     for epoch in range(1, config.epochs + 1):
-        loss = backend.train_epoch(train_set)
-        val_la = label_accuracy(backend, validation_set)
+        loss = backend.train_epoch(train_features, train_labels)
+        val_la = _hit_rate(backend.predict_proba(val_features), val_labels)
         log.append(EpochStats(epoch=epoch, train_loss=loss, val_label_accuracy=val_la))
         logger.info("epoch %d: train loss %.6f, validation LA %.4f", epoch, loss, val_la)
         if val_la > best_la:
             best_la = val_la
             best_epoch = epoch
-            best_params = copy.deepcopy(backend.get_params())
+            best_params = backend.get_params()
     assert best_params is not None
     backend.set_params(best_params)
     return TrainResult(
@@ -388,5 +422,5 @@ def evaluate(backend: ClassifierBackend, test_set: Sequence[LabeledText]) -> Eva
     if not test_set:
         raise ValueError("cannot evaluate on an empty test set")
     gold = [ex.label for ex in test_set]
-    predicted = [VeracityLabel(int(np.argmax(backend.predict_proba(ex.text)))) for ex in test_set]
+    predicted = predict_texts(backend, [ex.text for ex in test_set]).argmax(axis=1).tolist()
     return score_predictions(gold, predicted)

@@ -125,3 +125,31 @@ def split_sentences_by_scanning(text: str, guard: frozenset[str]) -> list[str]:
     if text[start:].strip():
         sentences.append(text[start:].strip())
     return sentences
+
+
+def predict_one_text(backend, text: str) -> np.ndarray:
+    """The hashed linear classifier's probabilities for one text, computed
+    alone: one feature row, one ``weights @ row``, one softmax."""
+    logits = backend.weights @ backend.features(text) + backend.bias
+    exp = np.exp(logits - logits.max())
+    return exp / exp.sum()
+
+
+def train_by_refeaturizing(backend, train_set, validation_set, epochs: int):
+    """``train`` as a loop that featurizes every text again in every epoch
+    and scores validation one text at a time.
+
+    Returns the per-epoch ``(loss, validation accuracy)`` pairs and the
+    best-validation parameters (earliest epoch wins ties).
+    """
+    labels = np.array([int(ex.label) for ex in train_set], dtype=np.intp)
+    log, best_la, best_params = [], -1.0, None
+    for _ in range(epochs):
+        features = np.stack([backend.features(ex.text) for ex in train_set])
+        loss = backend.train_epoch(features, labels)
+        hits = sum(int(np.argmax(predict_one_text(backend, ex.text))) == int(ex.label) for ex in validation_set)
+        val_la = hits / len(validation_set)
+        log.append((loss, val_la))
+        if val_la > best_la:
+            best_la, best_params = val_la, {"weights": backend.weights.copy(), "bias": backend.bias.copy()}
+    return log, best_params

@@ -232,6 +232,14 @@ class TestRecordsIO:
             assert record.predicted_label is not None
             assert sum(record.predicted_probabilities) == pytest.approx(1.0, abs=1e-6)
 
+    def test_annotated_records_keep_their_timings(self, records_by_variant):
+        records = records_by_variant[PipelineVariant.P1_HEADLINE]
+        assert all(record.timings for record in records)
+        annotated = annotate_predictions(records, HashedLinearClassifier(dimension=64, seed=0))
+        for source, record in zip(records, annotated):
+            assert record.timings == source.timings
+            assert record.timings is not source.timings
+
 
 class TestGistExperiment:
     def test_headline_equal_to_claim_scores_100(self, fixture_articles):

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimcheck.corpus import VeracityLabel
 from claimcheck.encode import stable_bucket
@@ -18,11 +20,12 @@ from claimcheck.veracity import (
     featurize_concat,
     featurize_content,
     label_accuracy,
+    predict_texts,
     score_predictions,
     split_dataset,
     train,
 )
-from oracles import hashed_bag_by_loop
+from oracles import hashed_bag_by_loop, predict_one_text, train_by_refeaturizing
 
 
 class TestFeaturizeContent:
@@ -154,7 +157,9 @@ class TestTraining:
             dimension=256, seed=0, learning_rate=0.05, batch_size=None
         )
         examples = _separable_set()
-        losses = [backend.train_epoch(examples) for _ in range(6)]
+        features = backend.featurize([ex.text for ex in examples])
+        labels = np.array([int(ex.label) for ex in examples])
+        losses = [backend.train_epoch(features, labels) for _ in range(6)]
         assert all(a >= b for a, b in zip(losses, losses[1:]))
 
     def test_single_class_warns_but_trains(self, caplog):
@@ -182,7 +187,7 @@ class TestTraining:
 class TestReferenceClassifier:
     def test_zero_parameters_give_uniform_prediction(self):
         backend = HashedLinearClassifier(dimension=64, seed=0)
-        probs = backend.predict_proba("whatever text appears here")
+        probs = backend.predict_proba(backend.featurize(["whatever text appears here"]))[0]
         np.testing.assert_allclose(probs, [0.25, 0.25, 0.25, 0.25], atol=1e-12)
 
     def test_probabilities_sum_to_one_on_random_inputs(self):
@@ -193,7 +198,7 @@ class TestReferenceClassifier:
         backend.bias = np_rng.normal(size=backend.bias.shape)
         for _ in range(100):
             text = " ".join(f"w{rng.randrange(40)}" for _ in range(rng.randint(1, 30)))
-            probs = backend.predict_proba(text)
+            probs = backend.predict_proba(backend.featurize([text]))[0]
             assert abs(float(probs.sum()) - 1.0) <= 1e-6
             assert np.all(probs >= 0)
 
@@ -245,7 +250,9 @@ class TestReferenceClassifier:
         backend.save(path)
         loaded = HashedLinearClassifier.load(path)
         text = "confirmed item"
-        np.testing.assert_allclose(loaded.predict_proba(text), backend.predict_proba(text))
+        np.testing.assert_allclose(
+            loaded.predict_proba(loaded.featurize([text])), backend.predict_proba(backend.featurize([text]))
+        )
 
     def test_snapshot_format_guard(self, tmp_path):
         path = tmp_path / "model.json"
@@ -351,3 +358,73 @@ class TestEvaluate:
     def test_empty_test_set(self):
         with pytest.raises(ValueError):
             evaluate(HashedLinearClassifier(dimension=64), [])
+
+
+def _random_texts(rng, n):
+    return [" ".join(f"w{rng.randrange(300)}" for _ in range(rng.randint(0, 25))) for _ in range(n)]
+
+
+def _random_examples(rng, n):
+    return [LabeledText(text, VeracityLabel(rng.randrange(4))) for text in _random_texts(rng, n)]
+
+
+class TestMatrixContract:
+    """Batched featurizing and prediction against one-text-at-a-time oracles."""
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200])
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.1, 50.0))
+    def test_predict_proba_rows_equal_the_one_text_path(self, n, seed, scale):
+        rng = random.Random(seed)
+        np_rng = np.random.default_rng(seed)
+        backend = HashedLinearClassifier(dimension=64, seed=seed % 7)
+        backend.weights = np_rng.normal(scale=scale, size=backend.weights.shape)
+        backend.bias = np_rng.normal(scale=scale, size=backend.bias.shape)
+        texts = _random_texts(rng, n)
+        features = backend.featurize(texts)
+        probabilities = backend.predict_proba(features)
+        assert features.shape == (n, 64) and probabilities.shape == (n, 4)
+        for text, row, probs in zip(texts, features, probabilities):
+            assert np.array_equal(row, backend.features(text))
+            assert np.array_equal(row, hashed_bag_by_loop(text, 64, seed % 7))
+            assert np.array_equal(probs, predict_one_text(backend, text))
+        assert np.array_equal(predict_texts(backend, texts), probabilities)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_scoring_passes_match_the_one_text_path(self, n):
+        rng = random.Random(n)
+        backend = HashedLinearClassifier(dimension=32, seed=1)
+        backend.weights = np.random.default_rng(n).normal(size=backend.weights.shape)
+        examples = _random_examples(rng, n)
+        predicted = [int(np.argmax(predict_one_text(backend, ex.text))) for ex in examples]
+        hits = sum(p == int(ex.label) for p, ex in zip(predicted, examples))
+        assert label_accuracy(backend, examples) == hits / n
+        expected = score_predictions([ex.label for ex in examples], predicted)
+        assert np.array_equal(evaluate(backend, examples).confusion, expected.confusion)
+
+    @pytest.mark.parametrize("batch_size", [8, None])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_train=st.integers(1, 150), n_val=st.integers(1, 70))
+    def test_train_equals_refeaturizing_every_epoch(self, batch_size, seed, n_train, n_val):
+        rng = random.Random(seed)
+        train_set, val_set = _random_examples(rng, n_train), _random_examples(rng, n_val)
+        config = TrainConfig(epochs=3, seed=0)
+        backend = HashedLinearClassifier(dimension=64, seed=2, batch_size=batch_size)
+        result = train(backend, train_set, val_set, config)
+        oracle = HashedLinearClassifier(dimension=64, seed=2, batch_size=batch_size)
+        log, params = train_by_refeaturizing(oracle, train_set, val_set, config.epochs)
+        assert [(stats.train_loss, stats.val_label_accuracy) for stats in result.log] == log
+        assert np.array_equal(result.params["weights"], params["weights"])
+        assert np.array_equal(result.params["bias"], params["bias"])
+
+    def test_train_featurizes_each_set_once(self):
+        class Spy(HashedLinearClassifier):
+            def featurize(self, texts):
+                calls.append(list(texts))
+                return super().featurize(texts)
+
+        calls = []
+        rng = random.Random(4)
+        train_set, val_set = _random_examples(rng, 90), _random_examples(rng, 30)
+        train(Spy(dimension=64), train_set, val_set, TrainConfig(epochs=3))
+        assert calls == [[ex.text for ex in train_set], [ex.text for ex in val_set]]
