@@ -181,15 +181,15 @@ def test_minimal_record_line_reads(tmp_path):
         (_record_line(evidence=dict(_EVIDENCE, articles=[dict(_ARTICLE, published="2020-13-01")])), "published"),
         (_record_line(evidence=dict(_EVIDENCE, articles=[{"url": "u"}])), "evidence.articles"),
         (_record_line(predicted_probabilities=0.5), "predicted_probabilities"),
-        (_record_line(predicted_probabilities=["x", None]), r"field 'predicted_probabilities': .*expected float, got str"),
-        (_record_line(predicted_probabilities=[0.5, None]), r"field 'predicted_probabilities': .*expected float, got NoneType"),
-        (_record_line(predicted_probabilities=[0.5, True]), r"field 'predicted_probabilities': .*expected float, got bool"),
         (_record_line(article_date_missing=1), "article_date_missing"),
         (_record_line(ranked=[{"index": "0", "text": "s", "distance": 0.1, "rank": 1}]), "expected int, got str"),
         ({"schema": "other.v9"}, "schema"),
         ([1, 2], "expected an object, got list"),
         ("text", "expected an object, got str"),
         (None, "expected an object, got NoneType"),
+        (_record_line(predicted_probabilities=["x", None]), r"field 'predicted_probabilities': .*expected float, got str"),
+        (_record_line(predicted_probabilities=[0.5, None]), r"field 'predicted_probabilities': .*expected float, got NoneType"),
+        (_record_line(predicted_probabilities=[0.5, True]), r"field 'predicted_probabilities': .*expected float, got bool"),
     ],
 )
 def test_bad_record_line_is_a_value_error(tmp_path, line, message):
@@ -249,11 +249,11 @@ def test_bad_store_line_is_an_ingest_error(tmp_path, line, message):
         ({"encoder": []}, "encoder"),
         ({"train": {"split": 5}}, "train.split"),
         ({"train": {"split": [0.5, 0.5]}}, "split must be three"),
-        ({"train": {"split": [0.5, "0.25", 0.25]}}, r"bad config field 'train.split': .*expected float, got str"),
         ({"train": {"epochs": "x"}}, "train.epochs"),
         ({"claims_k": "2"}, r"bad config field 'claims_k': expected int, got str"),
         ({"provider": {"endpoint": 5}}, "provider.endpoint"),
         ([], "config"),
+        ({"train": {"split": [0.5, "0.25", 0.25]}}, r"bad config field 'train.split': .*expected float, got str"),
     ],
 )
 def test_bad_config_is_a_config_error(data, message):
