@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .encode import EncoderBackend, cosine_distance, encode, encode_batch
-from .textproc import split_sentences, tokenize
+from .textproc import split_sentences
 
 
 class SignalKind(str, Enum):
@@ -50,26 +50,20 @@ def rank_sentences(
     article_body: str,
     signal: InternalSignal,
     backend: EncoderBackend,
-    min_sentence_tokens: int = 0,
     abbreviations: frozenset[str] | None = None,
 ) -> list[RankedSentence]:
     """Order body sentences by ascending cosine distance to the signal.
 
     Ties break by original position, so runs are reproducible. Every body
-    sentence appears exactly once unless ``min_sentence_tokens`` filters
-    short ones out (off by default).
+    sentence appears exactly once.
     """
     sentences = split_sentences(article_body, abbreviations)
-    if min_sentence_tokens > 0:
-        sentences_kept = [(i, s) for i, s in enumerate(sentences) if len(tokenize(s)) >= min_sentence_tokens]
-    else:
-        sentences_kept = list(enumerate(sentences))
-    if not sentences_kept:
+    if not sentences:
         raise ValueError("article body yields no sentences to rank")
 
     signal_vec = encode(backend, signal.text)
-    distances = cosine_distance(signal_vec, encode_batch(backend, [text for _, text in sentences_kept]))
-    scored = [(distance, index, text) for distance, (index, text) in zip(distances, sentences_kept)]
+    distances = cosine_distance(signal_vec, encode_batch(backend, sentences))
+    scored = [(distance, index, text) for index, (distance, text) in enumerate(zip(distances, sentences))]
     scored.sort(key=lambda item: (item[0], item[1]))
     return [
         RankedSentence(index=index, text=text, distance=distance, rank=rank)

@@ -115,22 +115,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _train_setup(args: argparse.Namespace, config: PipelineConfig):
+    """The records file and its train/validation/test examples."""
     records = read_records(args.records)
     articles_by_id = None
     if args.features == "content":
         if not args.corpus:
             raise ClaimCheckError("content features require --corpus")
         articles_by_id = {a.id: a for a in _load_corpus(args.corpus, args.dataset)}
-    train_config = dataclasses.replace(config.train, learning_rate=config.classifier.learning_rate)
-    splits = split_dataset(records, train_config)
-    return [build_examples(part, args.features, articles_by_id) for part in splits], train_config
+    splits = split_dataset(records, config.train)
+    return records, [build_examples(part, args.features, articles_by_id) for part in splits]
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    (train_set, val_set, _), train_config = _train_setup(args, config)
+    _, (train_set, val_set, _) = _train_setup(args, config)
     backend = build_classifier(config.classifier)
-    result = train(backend, train_set, val_set, train_config)
+    result = train(backend, train_set, val_set, config.train)
     for stats in result.log:
         print(
             f"epoch {stats.epoch}: train loss {stats.train_loss:.6f}, "
@@ -144,7 +144,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    (_, _, test_set), _ = _train_setup(args, config)
+    records, (_, _, test_set) = _train_setup(args, config)
     backend = HashedLinearClassifier.load(args.model)
     report = evaluate(backend, test_set)
     print(f"label accuracy: {report.label_accuracy:.4f}")
@@ -159,8 +159,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         names = ", ".join(label.name.lower() for label in report.missing_classes)
         print(f"absent from gold and predictions: {names}")
     if args.annotated_out:
-        records = annotate_predictions(read_records(args.records), backend)
-        write_records(records, args.annotated_out)
+        write_records(annotate_predictions(records, backend), args.annotated_out)
         print(f"annotated records -> {args.annotated_out}")
     return 0
 

@@ -24,7 +24,7 @@ from .evidence import (
     SearchProvider,
 )
 from .providers import FixtureSearchProvider, LiveSearchProvider, RateLimiter
-from .summarize import DEFAULT_MAX_TOKENS, DEFAULT_MIN_TOKENS, LeadSummarizer, SummarizerBackend
+from .summarize import DEFAULT_MAX_TOKENS, LeadSummarizer, SummarizerBackend
 from .textproc import load_abbreviations
 from .veracity import ClassifierBackend, HashedLinearClassifier, TrainConfig
 
@@ -39,7 +39,6 @@ class EncoderSettings:
 @dataclass(frozen=True)
 class SummarizerSettings:
     backend: str = "lead"
-    min_tokens: int = DEFAULT_MIN_TOKENS
     max_tokens: int = DEFAULT_MAX_TOKENS
 
 
@@ -60,7 +59,6 @@ class ProviderSettings:
     api_key_env: str = "CLAIMCHECK_SEARCH_API_KEY"
     cache_dir: str | None = None
     requests_per_second: float = 3.0
-    max_in_flight: int = 2
     timeout: float = 10.0
 
 
@@ -74,7 +72,6 @@ class PipelineConfig:
     credible_list_path: str | None = None  # defaults to the shipped test list
     abbreviations_path: str | None = None  # None = built-in guard list
     claims_k: int = 3
-    min_claim_sentence_tokens: int = 0  # 0 = rank every sentence
     query_word_limit: int = DEFAULT_QUERY_WORD_LIMIT
     date_window_months: int = DEFAULT_WINDOW_MONTHS
     max_search_results: int = DEFAULT_MAX_RESULTS
@@ -107,11 +104,7 @@ def build_summarizer(
     settings: SummarizerSettings, abbreviations: frozenset[str] | None = None
 ) -> SummarizerBackend:
     if settings.backend == "lead":
-        return LeadSummarizer(
-            min_tokens=settings.min_tokens,
-            max_tokens=settings.max_tokens,
-            abbreviations=abbreviations,
-        )
+        return LeadSummarizer(max_tokens=settings.max_tokens, abbreviations=abbreviations)
     raise ConfigError(f"unknown summarizer backend {settings.backend!r} (available: lead)")
 
 
@@ -133,15 +126,11 @@ def build_provider(settings: ProviderSettings) -> SearchProvider:
     if settings.kind == "live":
         if not settings.endpoint:
             raise ConfigError("live provider requires provider.endpoint")
-        limiter = RateLimiter(
-            requests_per_second=settings.requests_per_second,
-            max_in_flight=settings.max_in_flight,
-        )
         return LiveSearchProvider(
             endpoint=settings.endpoint,
             api_key_env=settings.api_key_env,
             cache_dir=settings.cache_dir,
-            rate_limiter=limiter,
+            rate_limiter=RateLimiter(requests_per_second=settings.requests_per_second),
             timeout=settings.timeout,
         )
     raise ConfigError(f"unknown provider kind {settings.kind!r} (available: fixture, live)")

@@ -98,23 +98,18 @@ class IngestResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def normalize_label(
-    raw_label: str,
-    dataset: DatasetKind,
-    table: Mapping[str, Union[VeracityLabel, _Drop]] | None = None,
-) -> Union[VeracityLabel, _Drop]:
+def normalize_label(raw_label: str, dataset: DatasetKind) -> Union[VeracityLabel, _Drop]:
     """Map a raw rating string onto the 4-way label set, or DROP.
 
     Matching is case-insensitive after trimming whitespace. Anything outside
     the mapping table raises LabelMappingError: an unmapped rating means the
     source schema drifted and should be surfaced, not silently dropped.
     """
-    mapping = DEFAULT_LABEL_TABLE if table is None else table
     key = raw_label.strip().lower()
     if not key:
         raise LabelMappingError(f"empty raw label in dataset {dataset.value!r}")
     try:
-        return mapping[key]
+        return DEFAULT_LABEL_TABLE[key]
     except KeyError:
         raise LabelMappingError(
             f"unmapped raw label {raw_label!r} in dataset {dataset.value!r}"
@@ -236,14 +231,11 @@ class NormalizeResult:
     dropped: int = 0
 
 
-def normalize_articles(
-    articles: Iterable[Article],
-    table: Mapping[str, Union[VeracityLabel, _Drop]] | None = None,
-) -> NormalizeResult:
+def normalize_articles(articles: Iterable[Article]) -> NormalizeResult:
     """Assign normalized labels; rows mapping to DROP leave the corpus."""
     result = NormalizeResult(articles=[])
     for article in articles:
-        outcome = normalize_label(article.raw_label, article.dataset, table)
+        outcome = normalize_label(article.raw_label, article.dataset)
         if isinstance(outcome, _Drop):
             result.dropped += 1
             continue

@@ -12,7 +12,6 @@ without re-searching.
 from __future__ import annotations
 
 import copy
-import json
 import logging
 import random
 import time
@@ -120,15 +119,7 @@ def derive_stages(article: Article, variant: PipelineVariant, runtime: PipelineR
         query = build_query(article.headline, summary, QueryOrigin.P3, runtime.config.query_word_limit)
         return StageOutputs(signal=signal, ranked=None, claim=claim, query=query)
 
-    ranked = tuple(
-        rank_sentences(
-            article.body,
-            signal,
-            runtime.encoder,
-            min_sentence_tokens=runtime.config.min_claim_sentence_tokens,
-            abbreviations=runtime.abbreviations,
-        )
-    )
+    ranked = tuple(rank_sentences(article.body, signal, runtime.encoder, abbreviations=runtime.abbreviations))
     claims: ClaimSet = select_claims(list(ranked), runtime.config.claims_k)
     query = build_query(article.headline, claims.concatenated, QueryOrigin.P1_P2, runtime.config.query_word_limit)
     return StageOutputs(signal=signal, ranked=ranked, claim=claims.concatenated, query=query)
@@ -158,13 +149,6 @@ class PipelineRecord:
     predicted_probabilities: tuple[float, ...] | None = None
     error: str | None = None
     timings: dict[str, float] = field(default_factory=dict, init=False)
-
-    def to_dict(self) -> dict:
-        return json.loads(_RECORDS.dumps(self))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineRecord":
-        return _RECORDS.decode(cls, data, "record")
 
 
 # A stored evidence article is its search result's fields, minus the body

@@ -91,47 +91,33 @@ class FixtureSearchProvider(SearchProvider):
 
 
 class RateLimiter:
-    """Bounds in-flight requests and enforces a minimum request spacing.
+    """Enforces a minimum spacing between requests.
 
-    Thread-safe; time and sleep hooks are injectable for tests.
+    Call ``wait()`` before each request. Thread-safe; time and sleep hooks
+    are injectable for tests.
     """
 
     def __init__(
         self,
         requests_per_second: float = 3.0,
-        max_in_flight: int = 2,
         time_func: Callable[[], float] = time.monotonic,
         sleep_func: Callable[[float], None] = time.sleep,
     ):
-        if max_in_flight < 1:
-            raise ValueError("max_in_flight must be at least 1")
         self._interval = 1.0 / requests_per_second if requests_per_second > 0 else 0.0
-        self._semaphore = threading.BoundedSemaphore(max_in_flight)
         self._lock = threading.Lock()
         self._next_allowed = 0.0
         self._time = time_func
         self._sleep = sleep_func
 
-    def __enter__(self) -> "RateLimiter":
-        self._semaphore.acquire()
-        try:
-            self._pace()
-        except BaseException:
-            self._semaphore.release()
-            raise
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._semaphore.release()
-
-    def _pace(self) -> None:
+    def wait(self) -> None:
+        """Block until the next request may start, and book its slot."""
         if self._interval <= 0:
             return
         with self._lock:
             now = self._time()
-            wait = self._next_allowed - now
-            if wait > 0:
-                self._sleep(wait)
+            delay = self._next_allowed - now
+            if delay > 0:
+                self._sleep(delay)
                 now = self._time()
             self._next_allowed = max(self._next_allowed, now) + self._interval
 
@@ -235,10 +221,8 @@ class LiveSearchProvider(SearchProvider):
         headers = {"X-Api-Key": api_key, "Accept": "application/json"}
 
         if self._limiter is not None:
-            with self._limiter:
-                status, body = self._transport(url, headers, self._timeout)
-        else:
-            status, body = self._transport(url, headers, self._timeout)
+            self._limiter.wait()
+        status, body = self._transport(url, headers, self._timeout)
 
         if status == 429:
             raise RetryableSearchError("search quota exceeded (HTTP 429)")

@@ -16,7 +16,6 @@ from .textproc import split_sentences, tokenize
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_MIN_TOKENS = 60
 DEFAULT_MAX_TOKENS = 180
 
 
@@ -25,12 +24,9 @@ class SummarizerBackend(ABC):
 
     name: str
 
-    def __init__(self, min_tokens: int = DEFAULT_MIN_TOKENS, max_tokens: int = DEFAULT_MAX_TOKENS):
-        if min_tokens < 1 or max_tokens < 1:
-            raise ValueError("token budgets must be positive")
-        if min_tokens > max_tokens:
-            raise ValueError(f"min_tokens {min_tokens} exceeds max_tokens {max_tokens}")
-        self.min_tokens = int(min_tokens)
+    def __init__(self, max_tokens: int = DEFAULT_MAX_TOKENS):
+        if max_tokens < 1:
+            raise ValueError("token budget must be positive")
         self.max_tokens = int(max_tokens)
 
     @abstractmethod
@@ -43,30 +39,23 @@ class LeadSummarizer(SummarizerBackend):
 
     name = "lead"
 
-    def __init__(
-        self,
-        min_tokens: int = DEFAULT_MIN_TOKENS,
-        max_tokens: int = DEFAULT_MAX_TOKENS,
-        abbreviations: frozenset[str] | None = None,
-    ):
-        super().__init__(min_tokens, max_tokens)
+    def __init__(self, max_tokens: int = DEFAULT_MAX_TOKENS, abbreviations: frozenset[str] | None = None):
+        super().__init__(max_tokens)
         self.abbreviations = abbreviations
 
     def summarize(self, body: str) -> str:
-        return lead_fallback_summarize(body, self.min_tokens, self.max_tokens, self.abbreviations)
+        return lead_fallback_summarize(body, self.max_tokens, self.abbreviations)
 
 
 def lead_fallback_summarize(
     body: str,
-    min_tokens: int = DEFAULT_MIN_TOKENS,
     max_tokens: int = DEFAULT_MAX_TOKENS,
     abbreviations: frozenset[str] | None = None,
 ) -> str:
     """Take leading whole sentences while the running token count fits.
 
     If the first sentence alone exceeds ``max_tokens`` it is cut at the word
-    boundary where the budget runs out. ``min_tokens`` documents the target
-    window; the greedy whole-sentence rule never pads to reach it.
+    boundary where the budget runs out.
     """
     if not body or not body.strip():
         raise SummarizeError("cannot summarize an empty body")
@@ -102,11 +91,10 @@ def _truncate_to_tokens(text: str, max_tokens: int) -> str:
 
 
 def summarize(backend: SummarizerBackend, body: str) -> str:
-    """Run a backend and enforce the output token window.
+    """Run a backend and enforce its ``max_tokens`` budget.
 
-    The upper bound is hard: an over-long summary is truncated and logged,
-    never passed through. Falling short of ``min_tokens`` (when the body had
-    that many) is logged but not fatal.
+    The bound is hard: an over-long summary is truncated and logged, never
+    passed through.
     """
     if not body or not body.strip():
         raise SummarizeError("cannot summarize an empty body")
@@ -120,11 +108,4 @@ def summarize(backend: SummarizerBackend, body: str) -> str:
             backend.name, count, backend.max_tokens,
         )
         out = _truncate_to_tokens(out, backend.max_tokens)
-        count = len(tokenize(out))
-    budget_floor = min(backend.min_tokens, len(tokenize(body)))
-    if count < budget_floor:
-        logger.warning(
-            "summary from %r has %d tokens, below the %d-token floor",
-            backend.name, count, budget_floor,
-        )
     return out

@@ -122,9 +122,6 @@ def run_evidence_gain_experiment(
     n_per_class: int = 50,
     seed: int = 7,
     epochs: int = 3,
-    classifier_dimension: int = 1024,
-    learning_rate: float = 1.0,
-    batch_size: int | None = 8,
 ) -> EvidenceGainOutcome:
     """Train content-only vs claim+evidence classifiers on one pipeline run.
 
@@ -135,18 +132,13 @@ def run_evidence_gain_experiment(
     run_runtime = replace(runtime, provider=provider)
     records = run_pipeline(articles, PipelineVariant.P1_HEADLINE, run_runtime)
 
-    config = TrainConfig(epochs=epochs, seed=seed, learning_rate=learning_rate)
+    config = TrainConfig(epochs=epochs, seed=seed)
     train_records, val_records, test_records = split_dataset(records, config)
     articles_by_id = {a.id: a for a in articles}
 
     accuracies = {}
     for kind in ("content", "concat"):
-        backend = HashedLinearClassifier(
-            dimension=classifier_dimension,
-            seed=seed,
-            learning_rate=learning_rate,
-            batch_size=batch_size,
-        )
+        backend = HashedLinearClassifier(seed=seed)
         train(
             backend,
             build_examples(train_records, kind, articles_by_id),

@@ -341,7 +341,6 @@ def train(
         loss = backend.train_epoch(train_features, train_labels)
         val_la = _hit_rate(backend.predict_proba(val_features), val_labels)
         log.append(EpochStats(epoch=epoch, train_loss=loss, val_label_accuracy=val_la))
-        logger.info("epoch %d: train loss %.6f, validation LA %.4f", epoch, loss, val_la)
         if val_la > best_la:
             best_la = val_la
             best_epoch = epoch

@@ -94,12 +94,6 @@ class TestRankSentences:
         permuted = rank_sentences(" ".join(shuffled), signal, backend)
         assert [r.text for r in permuted] == [r.text for r in baseline]
 
-    def test_min_token_filter(self, backend):
-        body = "One. Harbor dredging resumes next month. Two."
-        signal = InternalSignal(SignalKind.HEADLINE, "harbor dredging")
-        ranked = rank_sentences(body, signal, backend, min_sentence_tokens=3)
-        assert [r.index for r in ranked] == [1]
-
     def test_empty_body(self, backend):
         signal = InternalSignal(SignalKind.HEADLINE, "anything")
         with pytest.raises(ValueError):

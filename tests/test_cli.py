@@ -1,7 +1,9 @@
 import json
+import logging
 
 import pytest
 
+from claimcheck import cli
 from claimcheck.cli import main
 from claimcheck.corpus import VeracityLabel, load_store
 from claimcheck.pipeline import read_records, records_label_distribution
@@ -93,6 +95,27 @@ def test_train_then_evaluate(tmp_path, capsys):
                for line in annotated.read_text().splitlines())
 
 
+def test_train_reports_each_epoch_once(tmp_path, capsys, caplog):
+    records = tmp_path / "records.jsonl"
+    assert main(["run", "--pipeline", "p2", "--out", str(records)]) == 0
+    capsys.readouterr()
+    with caplog.at_level(logging.INFO):
+        assert main(["train", "--records", str(records), "--out", str(tmp_path / "model.json")]) == 0
+    assert (capsys.readouterr().out + caplog.text).count("epoch 1:") == 1
+
+
+def test_evaluate_reads_the_records_file_once(tmp_path, monkeypatch):
+    records, model = tmp_path / "records.jsonl", tmp_path / "model.json"
+    assert main(["run", "--pipeline", "p2", "--out", str(records)]) == 0
+    assert main(["train", "--records", str(records), "--out", str(model)]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "read_records", lambda path: calls.append(path) or read_records(path))
+    argv = ["evaluate", "--records", str(records), "--model", str(model),
+            "--annotated-out", str(tmp_path / "annotated.jsonl")]
+    assert main(argv) == 0
+    assert calls == [records]
+
+
 def test_content_features_without_corpus_is_an_error(tmp_path, capsys):
     records = tmp_path / "records.jsonl"
     main(["run", "--pipeline", "p1", "--out", str(records)])
@@ -149,7 +172,7 @@ def test_gist_eval_uses_the_abbreviation_guard(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "abbreviations_path": str(tmp_path / "abbreviations.txt"),
-        "summarizer": {"min_tokens": 1, "max_tokens": 2},
+        "summarizer": {"max_tokens": 2},
     }), encoding="utf-8")
     argv = ["gist-eval", "--config", str(config), "--corpus", str(corpus), "--dataset", "fixture"]
     assert main(argv) == 0

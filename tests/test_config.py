@@ -40,7 +40,7 @@ def test_load_config_roundtrip(tmp_path):
         json.dumps(
             {
                 "encoder": {"dimension": 128, "seed": 5},
-                "summarizer": {"min_tokens": 30, "max_tokens": 90},
+                "summarizer": {"max_tokens": 90},
                 "classifier": {"learning_rate": 0.5, "batch_size": 4},
                 "provider": {"kind": "fixture"},
                 "train": {"epochs": 2, "split": [0.8, 0.1, 0.1], "seed": 4},

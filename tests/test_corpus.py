@@ -166,12 +166,6 @@ class TestNormalizeLabel:
         for raw in DEFAULT_LABEL_TABLE:
             normalize_label(raw, DatasetKind.SNOPES)  # must not raise
 
-    def test_custom_table(self):
-        table = {"bogus": VeracityLabel.FALSE}
-        assert normalize_label("bogus", DatasetKind.DNF300, table) is VeracityLabel.FALSE
-        with pytest.raises(LabelMappingError):
-            normalize_label("true", DatasetKind.DNF300, table)
-
 
 class TestNormalizeArticles:
     def test_opinion_rows_leave_corpus(self, tmp_path):

@@ -122,7 +122,6 @@ def test_records_roundtrip(tmp_path_factory, items, timings):
     write_records(items, path)
     loaded = read_records(path)
     assert loaded == [_as_stored(r) for r in items]
-    assert [PipelineRecord.from_dict(r.to_dict()) for r in items] == loaded
     # Reading and writing again gives the same bytes.
     again = path.with_name("again.jsonl")
     write_records(loaded, again)
@@ -198,8 +197,6 @@ def test_bad_record_line_is_a_value_error(tmp_path, line, message):
     with pytest.raises(ValueError, match=message) as excinfo:
         read_records(path)
     assert str(excinfo.value).startswith("record line 1: ")
-    with pytest.raises(ValueError, match=message):
-        PipelineRecord.from_dict(line)
 
 
 def test_int_items_read_as_floats(tmp_path):
@@ -257,6 +254,9 @@ def test_bad_store_line_is_an_ingest_error(tmp_path, line, message):
         ({"workers": 2}, r"unknown config keys: \['workers'\]"),
         ({"encoder": {"model_id": "m"}}, r"unknown keys in config field 'encoder': \['model_id'\]"),
         ({"summarizer": {"model_id": "m"}}, r"unknown keys in config field 'summarizer': \['model_id'\]"),
+        ({"summarizer": {"min_tokens": 60}}, r"unknown keys in config field 'summarizer': \['min_tokens'\]"),
+        ({"provider": {"max_in_flight": 2}}, r"unknown keys in config field 'provider': \['max_in_flight'\]"),
+        ({"min_claim_sentence_tokens": 0}, r"unknown config keys: \['min_claim_sentence_tokens'\]"),
     ],
 )
 def test_bad_config_is_a_config_error(data, message):

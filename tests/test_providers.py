@@ -72,29 +72,18 @@ class TestRateLimiter:
             sleeps.append(seconds)
             clock["now"] += seconds
 
-        limiter = RateLimiter(
-            requests_per_second=2.0, max_in_flight=1, time_func=fake_time, sleep_func=fake_sleep
-        )
+        limiter = RateLimiter(requests_per_second=2.0, time_func=fake_time, sleep_func=fake_sleep)
         for _ in range(3):
-            with limiter:
-                pass
+            limiter.wait()
         # First call free; the next two each wait out the 0.5 s interval.
         assert sleeps == pytest.approx([0.5, 0.5])
 
     def test_zero_rate_means_no_pacing(self):
         sleeps = []
-        limiter = RateLimiter(
-            requests_per_second=0.0, max_in_flight=1, sleep_func=sleeps.append
-        )
-        with limiter:
-            pass
-        with limiter:
-            pass
+        limiter = RateLimiter(requests_per_second=0.0, sleep_func=sleeps.append)
+        limiter.wait()
+        limiter.wait()
         assert sleeps == []
-
-    def test_bad_in_flight_bound(self):
-        with pytest.raises(ValueError):
-            RateLimiter(max_in_flight=0)
 
 
 class TestResponseCache:
@@ -210,7 +199,6 @@ class TestLiveProvider:
         sleeps = []
         limiter = RateLimiter(
             requests_per_second=1.0,
-            max_in_flight=1,
             time_func=lambda: clock["now"],
             sleep_func=lambda s: sleeps.append(s) or clock.__setitem__("now", clock["now"] + s),
         )
