@@ -11,8 +11,23 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from claimcheck.encode import stable_bucket
-from claimcheck.textproc import tokenize
+from claimcheck.claimrank import InternalSignal, RankedSentence, SignalKind
+from claimcheck.corpus import VeracityLabel
+from claimcheck.encode import cosine_distance, encode, stable_bucket
+from claimcheck.errors import ClaimCheckError, EncodeError
+from claimcheck.evidence import (
+    EvidenceArticle,
+    EvidenceSentence,
+    EvidenceSet,
+    QueryOrigin,
+    build_query,
+    date_window,
+    is_credible,
+    search,
+)
+from claimcheck.pipeline import PipelineRecord, PipelineVariant
+from claimcheck.summarize import summarize
+from claimcheck.textproc import has_tokens, split_sentences, tokenize
 
 
 def clipped_unigram_overlap(candidate: list[str], reference: list[str]) -> int:
@@ -153,3 +168,94 @@ def train_by_refeaturizing(backend, train_set, validation_set, epochs: int):
         if val_la > best_la:
             best_la, best_params = val_la, {"weights": backend.weights.copy(), "bias": backend.bias.copy()}
     return log, best_params
+
+
+def record_by_article(article, variant, runtime) -> PipelineRecord:
+    """One article's record, built alone and in the pipeline's stage order,
+    with every text encoded on its own by ``encode``.
+
+    An input error (a ``ClaimCheckError`` or ``ValueError``) becomes the
+    record's ``error``; record fields are filled only once the stage that
+    yields them has finished. The sentences of one ranking, and the
+    candidate sentences of one evidence pool, are scanned for tokens before
+    any of them is encoded. Leaf functions (summarizer, splitter, query
+    builder, search, filters, distance) are the definitions being composed
+    and are reused; the stage loop, ranking sort, claim join and evidence
+    pool are written out here.
+    """
+    config, encoder = runtime.config, runtime.encoder
+    record = PipelineRecord(
+        article_id=article.id,
+        variant=variant,
+        gold_label=article.label,
+        article_date_missing=article.published is None,
+    )
+    try:
+        if variant is PipelineVariant.P1_HEADLINE:
+            signal = InternalSignal(SignalKind.HEADLINE, article.headline)
+        else:
+            summary = summarize(runtime.summarizer, article.body)
+            if variant is PipelineVariant.P2_SUMMARY:
+                signal = InternalSignal(SignalKind.SUMMARY, summary)
+            else:
+                signal = InternalSignal(SignalKind.HEADLINE_PLUS_SUMMARY, f"{article.headline} {summary}")
+        if variant is PipelineVariant.P3_HEADLINE_PLUS_SUMMARY:
+            ranked, claim = None, signal.text
+            query = build_query(article.headline, summary, QueryOrigin.P3, config.query_word_limit)
+        else:
+            sentences = split_sentences(article.body, runtime.abbreviations)
+            if not sentences:
+                raise ValueError("article body yields no sentences to rank")
+            signal_vec = encode(encoder, signal.text)
+            if not all(has_tokens(sentence) for sentence in sentences):
+                raise EncodeError("text has no tokens to encode")
+            distances = [cosine_distance(signal_vec, encode(encoder, sentence)) for sentence in sentences]
+            order = sorted(range(len(sentences)), key=lambda i: (distances[i], i))
+            ranked = tuple(
+                RankedSentence(index=i, text=sentences[i], distance=distances[i], rank=rank)
+                for rank, i in enumerate(order, start=1)
+            )
+            claim = " ".join(sentence.text for sentence in ranked[: config.claims_k])
+            query = build_query(article.headline, claim, QueryOrigin.P1_P2, config.query_word_limit)
+        record.signal_kind, record.signal_text = signal.kind.value, signal.text
+        record.ranked, record.claim, record.query = ranked, claim, query.text
+
+        survivors = []
+        for result in search(runtime.provider, query, config.max_search_results):
+            applicable = article.published is not None
+            if not is_credible(result.domain, runtime.credible) or result.published is None:
+                continue
+            if applicable and not date_window(article.published, result.published, config.date_window_months):
+                continue
+            survivors.append(EvidenceArticle(result=result, date_check_applicable=applicable))
+            if len(survivors) == config.max_evidence_articles:
+                break
+        evidence = EvidenceSet()
+        if survivors:
+            claim_vec = encode(encoder, claim)
+            candidates = [
+                (order, index, sentence)
+                for order, survivor in enumerate(survivors)
+                for index, sentence in enumerate(split_sentences(survivor.result.body, runtime.abbreviations))
+                if has_tokens(sentence)
+            ]
+            pool = sorted(
+                (cosine_distance(claim_vec, encode(encoder, sentence)), order, index, sentence)
+                for order, index, sentence in candidates
+            )
+            top = tuple(
+                EvidenceSentence(
+                    text=sentence,
+                    distance=distance,
+                    source_url=survivors[order].result.url,
+                    article_order=order,
+                    sentence_index=index,
+                )
+                for distance, order, index, sentence in pool[: config.max_evidence_sentences]
+            )
+            evidence = EvidenceSet(tuple(survivors), top, " ".join(sentence.text for sentence in top))
+        record.evidence = evidence
+        record.label = VeracityLabel.NEI if evidence.is_empty else article.label
+    except (ClaimCheckError, ValueError) as exc:
+        record.error = f"{type(exc).__name__}: {exc}"
+    return record

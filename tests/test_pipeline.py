@@ -1,11 +1,15 @@
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
+from claimcheck import claimrank, encode, evidence
 from claimcheck.corpus import VeracityLabel
+from claimcheck.encode import HashedBagEncoder
 from claimcheck.errors import PipelineError, RetryableSearchError
 from claimcheck.evidence import SearchProvider
+from claimcheck import pipeline as pipeline_module
 from claimcheck.pipeline import (
     PipelineVariant,
     annotate_predictions,
@@ -16,9 +20,11 @@ from claimcheck.pipeline import (
     run_pipeline,
     write_records,
 )
-from claimcheck.summarize import LeadSummarizer, summarize
+from claimcheck.summarize import LeadSummarizer, SummarizerBackend, summarize
 from claimcheck.textproc import rouge1, rouge_l, split_sentences, tokenize
 from claimcheck.veracity import NO_EVIDENCE, HashedLinearClassifier
+import oracles
+from oracles import record_by_article
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +162,134 @@ def test_programming_error_propagates(fixture_articles, runtime):
     broken = dataclasses.replace(runtime, provider=Broken())
     with pytest.raises(TypeError, match="unsupported operand"):
         run_pipeline(fixture_articles, PipelineVariant.P1_HEADLINE, broken)
+
+
+class _EmptySummaryOn(SummarizerBackend):
+    name = "empty-on"
+
+    def __init__(self, inner, poison: str):
+        super().__init__(inner.max_tokens)
+        self._inner = inner
+        self._poison = poison
+
+    def summarize(self, body):
+        return "" if self._poison in body.lower() else self._inner.summarize(body)
+
+
+class _PoisonedRows(HashedBagEncoder):
+    """Breaks the unit-norm contract on every row whose text holds ``zzpoison``."""
+
+    name = "poisoned"
+
+    def encode_batch(self, texts):
+        rows = super().encode_batch(texts)
+        rows[[i for i, text in enumerate(texts) if "zzpoison" in text.lower()]] *= 2.0
+        return rows
+
+
+class _PoisonedEvidence(SearchProvider):
+    name = "poisoned-evidence"
+
+    def __init__(self, inner, trigger: str):
+        self._inner = inner
+        self._trigger = trigger
+
+    def search(self, query_text):
+        results = self._inner.search(query_text)
+        if self._trigger not in query_text.lower():
+            return results
+        return [dataclasses.replace(r, body=f"{r.body} Zzpoison evidence line.") for r in results]
+
+
+def _edge_articles(base, tag):
+    return [
+        dataclasses.replace(base, id=f"{tag}-no-sentence", body="   "),
+        dataclasses.replace(base, id=f"{tag}-punctuation-only", body=f"... {base.body}"),
+        dataclasses.replace(base, id=f"{tag}-summary-fails", body=f"{base.body} Zzsummaryfail ends it."),
+    ]
+
+
+@pytest.fixture(scope="module")
+def mixed_articles(fixture_articles):
+    """Fixture articles, edge cases in both blocks, and more articles than one block holds."""
+    copies = [dataclasses.replace(a, id=f"{a.id}-copy{n}") for n in range(10) for a in fixture_articles]
+    articles = [*fixture_articles, *_edge_articles(fixture_articles[1], "first"), *copies]
+    articles += _edge_articles(fixture_articles[2], "last")
+    assert len(articles) > 128
+    return articles
+
+
+@pytest.fixture(scope="module")
+def mixed_runtime(runtime):
+    # fx-004's query holds "bridge toll": its search raises a retryable error.
+    return dataclasses.replace(
+        runtime,
+        provider=_FailOn(runtime.provider, "bridge toll"),
+        summarizer=_EmptySummaryOn(runtime.summarizer, "zzsummaryfail"),
+    )
+
+
+def _bytes(records, path):
+    write_records(records, path)
+    return path.read_bytes()
+
+
+class TestMatchesPerArticleOracle:
+    @pytest.mark.parametrize("variant", list(PipelineVariant))
+    def test_same_bytes_as_one_article_at_a_time(self, variant, mixed_articles, mixed_runtime, tmp_path):
+        records = run_pipeline(mixed_articles, variant, mixed_runtime)
+        expected = [record_by_article(article, variant, mixed_runtime) for article in mixed_articles]
+        assert _bytes(records, tmp_path / "run.jsonl") == _bytes(expected, tmp_path / "oracle.jsonl")
+        errors = {r.error.split(":")[0] for r in records if r.error}
+        if variant is PipelineVariant.P1_HEADLINE:
+            assert errors == {"ValueError", "EncodeError", "RetryableSearchError"}
+        else:
+            assert {"SummarizeError", "RetryableSearchError"} <= errors
+
+    @pytest.mark.parametrize("variant", list(PipelineVariant))
+    def test_a_bad_row_fails_only_its_own_article(self, variant, fixture_articles, runtime, tmp_path):
+        poisoned_headline = dataclasses.replace(
+            fixture_articles[1], headline=f"{fixture_articles[1].headline} zzpoison"
+        )
+        poisoned_body = dataclasses.replace(
+            fixture_articles[2], body=f"{fixture_articles[2].body} Zzpoison closes the body."
+        )
+        articles = [fixture_articles[0], poisoned_headline, poisoned_body, *fixture_articles[3:]]
+        poisoned = dataclasses.replace(
+            runtime, encoder=_PoisonedRows(), provider=_PoisonedEvidence(runtime.provider, "reservoir")
+        )
+        records = run_pipeline(articles, variant, poisoned)
+        expected = [record_by_article(article, variant, poisoned) for article in articles]
+        assert _bytes(records, tmp_path / "run.jsonl") == _bytes(expected, tmp_path / "oracle.jsonl")
+        failed = {r.article_id for r in records if r.error}
+        assert failed == {
+            PipelineVariant.P1_HEADLINE: {"fx-001", "fx-002", "fx-003"},
+            PipelineVariant.P2_SUMMARY: {"fx-001", "fx-003"},
+            PipelineVariant.P3_HEADLINE_PLUS_SUMMARY: {"fx-001"},
+        }[variant]
+        for record in records:
+            if record.error:
+                assert record.error == "EncodeError: backend 'poisoned' returned a non-unit vector"
+
+    @pytest.mark.parametrize("variant", list(PipelineVariant))
+    def test_token_scans_cover_every_text_and_no_more(self, variant, mixed_articles, mixed_runtime, monkeypatch):
+        # Scans by run_pipeline are compared with the oracle's, which scans
+        # every text it encodes at least as often as the per-article pipeline did.
+        scans = Counter()
+        real = encode.has_tokens
+
+        def counted(text):
+            scans[text] += 1
+            return real(text)
+
+        for module in (encode, claimrank, evidence, oracles):
+            monkeypatch.setattr(module, "has_tokens", counted, raising=False)
+        run_pipeline(mixed_articles, variant, mixed_runtime)
+        by_pipeline, scans = scans, Counter()
+        for article in mixed_articles:
+            record_by_article(article, variant, mixed_runtime)
+        assert set(by_pipeline) == set(scans)
+        assert all(by_pipeline[text] <= scans[text] for text in scans)
 
 
 class TestRecordsIO:
