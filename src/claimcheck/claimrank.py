@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .encode import EncoderBackend, cosine_distance, encode, encode_batch
-from .textproc import split_sentences
+from .encode import NO_TOKENS, EncoderBackend, cosine_distance, encode_pairs
+from .encode import encode  # noqa: F401  (unused; perfbench's tracer wraps ``claimrank.encode``)
+from .errors import EncodeError, unwrap
+from .textproc import has_tokens, split_sentences
 
 
 class SignalKind(str, Enum):
@@ -55,20 +57,46 @@ def rank_sentences(
     """Order body sentences by ascending cosine distance to the signal.
 
     Ties break by original position, so runs are reproducible. Every body
-    sentence appears exactly once.
+    sentence appears exactly once. This is ``rank_block`` for one article.
     """
-    sentences = split_sentences(article_body, abbreviations)
-    if not sentences:
-        raise ValueError("article body yields no sentences to rank")
+    return unwrap(rank_block([article_body], [signal], backend, abbreviations)[0])
 
-    signal_vec = encode(backend, signal.text)
-    distances = cosine_distance(signal_vec, encode_batch(backend, sentences))
-    scored = [(distance, index, text) for index, (distance, text) in enumerate(zip(distances, sentences))]
-    scored.sort(key=lambda item: (item[0], item[1]))
-    return [
-        RankedSentence(index=index, text=text, distance=distance, rank=rank)
-        for rank, (distance, index, text) in enumerate(scored, start=1)
-    ]
+
+def rank_block(
+    bodies: list[str],
+    signals: list[InternalSignal],
+    backend: EncoderBackend,
+    abbreviations: frozenset[str] | None = None,
+) -> list:
+    """``rank_sentences`` for each ``(bodies[i], signals[i])``, with one
+    ``encode_batch`` for all signals and one for all body sentences. Entry
+    ``i`` is the ranking, or the input error that ranking article ``i``
+    alone raises."""
+    results: list = [None] * len(bodies)
+    pending = []  # (article, its sentences, whether every one has tokens)
+    for i, (body, signal) in enumerate(zip(bodies, signals)):
+        sentences = split_sentences(body, abbreviations)
+        if not sentences:
+            results[i] = ValueError("article body yields no sentences to rank")
+        elif not has_tokens(signal.text):
+            results[i] = EncodeError(NO_TOKENS)
+        else:
+            pending.append((i, sentences, all(map(has_tokens, sentences))))
+    # A sentence without tokens fails its article once the signal's row has passed.
+    pairs = encode_pairs(backend, [signals[i].text for i, _, _ in pending], [s if ok else () for _, s, ok in pending])
+    for (i, sentences, ok), pair in zip(pending, pairs):
+        if isinstance(pair, Exception):
+            results[i] = pair
+        elif not ok:
+            results[i] = EncodeError(NO_TOKENS)
+        else:
+            # Positions are unique, so the text never decides the order.
+            scored = sorted(zip(cosine_distance(*pair), range(len(sentences)), sentences))
+            results[i] = [
+                RankedSentence(index=index, text=text, distance=distance, rank=rank)
+                for rank, (distance, index, text) in enumerate(scored, start=1)
+            ]
+    return results
 
 
 def select_claims(ranked: list[RankedSentence], k: int = 3) -> ClaimSet:

@@ -15,12 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EncodeError
+from .errors import INPUT_ERRORS, EncodeError
 from .textproc import TokenSeq, has_tokens, tokenize
 
 Embedding = np.ndarray
 
 _NORM_TOLERANCE = 1e-9
+NO_TOKENS = "text has no tokens to encode"
 
 
 def stable_bucket(token: str, seed: int, buckets: int) -> int:
@@ -45,8 +46,8 @@ def l2_normalize(vector: np.ndarray) -> np.ndarray:
 class _BucketTable(dict):
     """token -> ``stable_bucket(token, seed, buckets)``, filled on first use.
 
-    Every writer of a key stores the same value, so concurrent fills from
-    several threads are benign.
+    A key's value depends only on the token, so a warm table gives the
+    same rows as a cold one, whatever was encoded before.
     """
 
     def __init__(self, seed: int, buckets: int):
@@ -139,13 +140,15 @@ def reference_encode(text: str, dimension: int = 256, seed: int = 0) -> Embeddin
     return HashedBagEncoder(dimension=dimension, seed=seed).encode(text)
 
 
-def _check_embeddings(backend: EncoderBackend, array: np.ndarray, shape: tuple[int, ...]) -> None:
+def _fault(backend: EncoderBackend, array: np.ndarray, shape: tuple[int, ...]) -> EncodeError | None:
+    """How ``array``, returned for ``shape``, breaks the embedding contract; None if it does not."""
     if array.shape != shape:
-        raise EncodeError(f"backend {backend.name!r} returned shape {array.shape}, expected {shape}")
+        return EncodeError(f"backend {backend.name!r} returned shape {array.shape}, expected {shape}")
     if not np.all(np.isfinite(array)):
-        raise EncodeError(f"backend {backend.name!r} returned non-finite entries")
+        return EncodeError(f"backend {backend.name!r} returned non-finite entries")
     if np.any(np.abs(np.linalg.norm(array, axis=-1) - 1.0) > _NORM_TOLERANCE):
-        raise EncodeError(f"backend {backend.name!r} returned a non-unit vector")
+        return EncodeError(f"backend {backend.name!r} returned a non-unit vector")
+    return None
 
 
 def encode(backend: EncoderBackend, text: str) -> Embedding:
@@ -156,9 +159,10 @@ def encode(backend: EncoderBackend, text: str) -> Embedding:
     norm off unit by more than 1e-9.
     """
     if not has_tokens(text):
-        raise EncodeError("text has no tokens to encode")
+        raise EncodeError(NO_TOKENS)
     vector = np.asarray(backend.encode(text), dtype=np.float64)
-    _check_embeddings(backend, vector, (backend.dimension,))
+    if (fault := _fault(backend, vector, (backend.dimension,))) is not None:
+        raise fault
     return vector
 
 
@@ -169,10 +173,38 @@ def encode_batch(backend: EncoderBackend, texts: Sequence[str]) -> np.ndarray:
     tokens fails the batch.
     """
     if not all(map(has_tokens, texts)):
-        raise EncodeError("text has no tokens to encode")
+        raise EncodeError(NO_TOKENS)
     matrix = np.asarray(backend.encode_batch(texts), dtype=np.float64)
-    _check_embeddings(backend, matrix, (len(texts), backend.dimension))
+    if (fault := _fault(backend, matrix, (len(texts), backend.dimension))) is not None:
+        raise fault
     return matrix
+
+
+def encode_pairs(backend: EncoderBackend, heads: Sequence[str], tails: Sequence[Sequence[str]]) -> list:
+    """``(encode(heads[i]), encode_batch(tails[i]))`` for every ``i``, from
+    one ``encode_batch`` for all heads and one for all tail texts, which
+    must have tokens. Both matrices are checked whole; only if one fails is
+    each entry checked alone, so a bad row makes its own entry the error
+    that entry alone raises. A backend error, or rows that cannot be
+    matched to the texts, is every entry's error.
+    """
+    flat = list(chain.from_iterable(tails))
+    try:
+        head_rows, tail_rows = (np.asarray(backend.encode_batch(texts), dtype=np.float64) for texts in (heads, flat))
+    except INPUT_ERRORS as exc:
+        return [exc] * len(heads)
+    d = backend.dimension
+    fault = _fault(backend, head_rows, (len(heads), d)) or _fault(backend, tail_rows, (len(flat), d))
+    if fault is not None and (len(head_rows), len(tail_rows)) != (len(heads), len(flat)):
+        return [fault] * len(heads)
+    pairs, lo = [], 0
+    for row, tail in enumerate(tails):
+        pair = head_rows[row], tail_rows[lo : lo + len(tail)]
+        if fault is not None:  # find the entries that the bad rows belong to
+            pair = _fault(backend, pair[0], (d,)) or _fault(backend, pair[1], (len(tail), d)) or pair
+        pairs.append(pair)
+        lo += len(tail)
+    return pairs
 
 
 def cosine_distance(a: Embedding, b: Embedding) -> float | list[float]:

@@ -39,3 +39,15 @@ class FatalSearchError(SearchProviderError):
 
 class PipelineError(ClaimCheckError):
     """Batch-level pipeline failure."""
+
+
+# Errors that fail one article's record; anything else is a bug and propagates.
+INPUT_ERRORS = (ClaimCheckError, ValueError)
+
+
+def unwrap(result):
+    """Return a batch step's entry for one item, or raise it if it is the
+    input error that stands in for that item's result."""
+    if isinstance(result, Exception):
+        raise result
+    return result

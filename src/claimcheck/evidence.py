@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 from .corpus import Article
-from .encode import EncoderBackend, cosine_distance, encode, encode_batch
-from .errors import ConfigError, FatalSearchError
+from .encode import NO_TOKENS, EncoderBackend, cosine_distance, encode_pairs
+from .encode import encode  # noqa: F401  (unused; perfbench's tracer wraps ``evidence.encode``)
+from .errors import ConfigError, EncodeError, FatalSearchError, unwrap
 from .textproc import has_tokens, split_sentences
 
 logger = logging.getLogger(__name__)
@@ -235,20 +237,27 @@ def gather_evidence(
     max_sentences: int = DEFAULT_MAX_EVIDENCE_SENTENCES,
     abbreviations: frozenset[str] | None = None,
 ) -> EvidenceSet:
-    """Search, filter, and pick the evidence sentences closest to the claim.
+    """``retrieve``, then ``select_evidence`` for one article."""
+    survivors = retrieve(article, query, provider, credible, months, max_results, max_articles)
+    return unwrap(select_evidence([claim_text], [survivors], backend, max_sentences, abbreviations)[0])
 
-    Filtering: a result must come from a credible registrable domain and
-    carry a publication date inside the article's window. A result without a
-    date fails the window check; an article without a date passes it (the
-    record keeps a flag so this is auditable). The first ``max_articles``
-    survivors, in provider order, contribute sentences; the global top
-    ``max_sentences`` by distance to the claim (ties by article order, then
-    sentence position) form the evidence text E.
+
+def retrieve(
+    article: Article,
+    query: Query,
+    provider: SearchProvider,
+    credible: CredibleDomainList,
+    months: int = DEFAULT_WINDOW_MONTHS,
+    max_results: int = DEFAULT_MAX_RESULTS,
+    max_articles: int = DEFAULT_MAX_EVIDENCE_ARTICLES,
+) -> tuple[EvidenceArticle, ...]:
+    """Search, and keep the first ``max_articles`` results, in provider
+    order, that come from a credible registrable domain and carry a date in
+    the article's window. An undated result fails the window check; an
+    undated article passes it (the evidence article keeps a flag for that).
     """
-    results = search(provider, query, max_results=max_results)
-
     survivors: list[EvidenceArticle] = []
-    for result in results:
+    for result in search(provider, query, max_results=max_results):
         if not is_credible(result.domain, credible):
             continue
         if result.published is None:
@@ -259,32 +268,56 @@ def gather_evidence(
         survivors.append(EvidenceArticle(result=result, date_check_applicable=applicable))
         if len(survivors) == max_articles:
             break
+    return tuple(survivors)
 
-    if not survivors:
-        return EvidenceSet()
 
-    claim_vec = encode(backend, claim_text)
-    candidates = [
-        (order, idx, sentence)
-        for order, evidence_article in enumerate(survivors)
-        for idx, sentence in enumerate(split_sentences(evidence_article.result.body, abbreviations))
-        if has_tokens(sentence)  # nothing to embed otherwise
-    ]
-    distances = cosine_distance(claim_vec, encode_batch(backend, [sentence for _, _, sentence in candidates]))
-    # (article order, sentence position) is unique, so the text never decides the order.
-    pool = sorted((distance, *candidate) for distance, candidate in zip(distances, candidates))
-    top = tuple(
-        EvidenceSentence(
-            text=sentence,
-            distance=distance,
-            source_url=survivors[order].result.url,
-            article_order=order,
-            sentence_index=idx,
+def select_evidence(
+    claims: Sequence[str],
+    survivors: Sequence[tuple[EvidenceArticle, ...]],
+    backend: EncoderBackend,
+    max_sentences: int = DEFAULT_MAX_EVIDENCE_SENTENCES,
+    abbreviations: frozenset[str] | None = None,
+) -> list:
+    """Evidence sets for ``claims[i]`` and ``survivors[i]``, with one
+    ``encode_batch`` for all claims and one for all candidate sentences.
+
+    Candidates are the survivors' sentences with tokens; the top
+    ``max_sentences`` by distance to the claim (ties by article order, then
+    sentence position) form the evidence text E. Without survivors the set
+    is empty and the claim is not encoded. Entry ``i`` is instead the input
+    error that selecting for article ``i`` alone raises, if any.
+    """
+    results: list = [EvidenceSet() for _ in claims]
+    pending = []  # (article, its candidates as (article order, sentence position, text))
+    for i, (claim, kept) in enumerate(zip(claims, survivors)):
+        if not kept:
+            continue
+        if not has_tokens(claim):
+            results[i] = EncodeError(NO_TOKENS)
+        else:
+            candidates = [
+                (order, index, sentence)
+                for order, evidence_article in enumerate(kept)
+                for index, sentence in enumerate(split_sentences(evidence_article.result.body, abbreviations))
+                if has_tokens(sentence)  # nothing to embed otherwise
+            ]
+            pending.append((i, candidates))
+    heads, tails = [claims[i] for i, _ in pending], [[text for *_, text in c] for _, c in pending]
+    for (i, candidates), pair in zip(pending, encode_pairs(backend, heads, tails)):
+        if isinstance(pair, Exception):
+            results[i] = pair
+            continue
+        # (article order, sentence position) is unique, so the text never decides the order.
+        pool = sorted((distance, *candidate) for distance, candidate in zip(cosine_distance(*pair), candidates))
+        top = tuple(
+            EvidenceSentence(
+                text=sentence,
+                distance=distance,
+                source_url=survivors[i][order].result.url,
+                article_order=order,
+                sentence_index=index,
+            )
+            for distance, order, index, sentence in pool[:max_sentences]
         )
-        for distance, order, idx, sentence in pool[:max_sentences]
-    )
-    return EvidenceSet(
-        articles=tuple(survivors),
-        sentences=top,
-        concatenated=" ".join(s.text for s in top),
-    )
+        results[i] = EvidenceSet(articles=survivors[i], sentences=top, concatenated=" ".join(s.text for s in top))
+    return results

@@ -2,9 +2,11 @@
 
 Variant p1 ranks body sentences against the headline, p2 against a
 generated summary; p3 skips ranking and sends headline plus summary
-straight downstream. Each article produces one self-contained record:
-signal, selected claims, query, filtered evidence, and the assigned label
-(the gold label, overridden to NEI when no evidence survived). Records are
+straight downstream. Articles run stage by stage in blocks, and each
+encoding step is one batch per block. Each article produces one
+self-contained record: signal, selected claims, query, filtered evidence,
+and the assigned label (the gold label, overridden to NEI when no evidence
+survived). Records are
 persisted as deterministic JSON lines so classifier experiments replay
 without re-searching.
 """
@@ -21,14 +23,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import jsonio
-from .claimrank import (
-    ClaimSet,
-    InternalSignal,
-    RankedSentence,
-    SignalKind,
-    rank_sentences,
-    select_claims,
-)
+from .claimrank import InternalSignal, RankedSentence, SignalKind, rank_block, select_claims
 from .config import (
     PipelineConfig,
     build_encoder,
@@ -39,7 +34,7 @@ from .config import (
 )
 from .corpus import Article, VeracityLabel
 from .encode import EncoderBackend
-from .errors import ClaimCheckError, PipelineError
+from .errors import INPUT_ERRORS, PipelineError, unwrap
 from .evidence import (
     CredibleDomainList,
     EvidenceArticle,
@@ -48,15 +43,22 @@ from .evidence import (
     QueryOrigin,
     SearchProvider,
     build_query,
-    gather_evidence,
+    retrieve,
+    select_evidence,
 )
 from .summarize import SummarizerBackend, summarize
 from .textproc import rouge1, rouge_l, tokenize
 from .veracity import ClassifierBackend, LabeledText, featurize_concat, featurize_content, predict_texts
 
+# Unused here. perfbench's tracer wraps functions at their import sites,
+# and these are two of the names it wraps in this module.
+from .claimrank import rank_sentences  # noqa: F401, E402  # isort: skip
+from .evidence import gather_evidence  # noqa: F401, E402  # isort: skip
+
 logger = logging.getLogger(__name__)
 
 RECORD_SCHEMA = "pipeline-record.v1"
+BLOCK_ARTICLES = 128  # articles per stage-major block (see run_pipeline); not a setting
 
 
 class PipelineVariant(str, Enum):
@@ -102,27 +104,57 @@ class StageOutputs:
 
 
 def derive_stages(article: Article, variant: PipelineVariant, runtime: PipelineRuntime) -> StageOutputs:
-    """Run the pre-retrieval stages. Shared by the pipeline and by fixture
-    tooling so query text is derived in exactly one place."""
+    """Run the pre-retrieval stages for one article. Shared by the pipeline
+    and by fixture tooling so query text is derived in exactly one place."""
+    return unwrap(_derive_block([article], variant, runtime)[0])
+
+
+def _attempt(step, *args):
+    """``step(*args)``, or the input error it raised; other errors propagate."""
+    try:
+        return step(*args)
+    except INPUT_ERRORS as exc:
+        return exc
+
+
+def _failed(*entries) -> Exception | None:
+    return next((entry for entry in entries if isinstance(entry, Exception)), None)
+
+
+def _signal(article: Article, variant: PipelineVariant, summarizer: SummarizerBackend) -> tuple:
+    """The internal signal and the summary in it (None for p1)."""
     if variant is PipelineVariant.P1_HEADLINE:
-        signal = InternalSignal(SignalKind.HEADLINE, article.headline)
-    elif variant is PipelineVariant.P2_SUMMARY:
-        summary = summarize(runtime.summarizer, article.body)
-        signal = InternalSignal(SignalKind.SUMMARY, summary)
-    else:
-        summary = summarize(runtime.summarizer, article.body)
-        signal = InternalSignal(SignalKind.HEADLINE_PLUS_SUMMARY, f"{article.headline} {summary}")
+        return InternalSignal(SignalKind.HEADLINE, article.headline), None
+    summary = summarize(summarizer, article.body)
+    if variant is PipelineVariant.P2_SUMMARY:
+        return InternalSignal(SignalKind.SUMMARY, summary), summary
+    return InternalSignal(SignalKind.HEADLINE_PLUS_SUMMARY, f"{article.headline} {summary}"), summary
 
-    if variant is PipelineVariant.P3_HEADLINE_PLUS_SUMMARY:
-        # No per-sentence ranking: the gist itself goes downstream.
-        claim = signal.text
-        query = build_query(article.headline, summary, QueryOrigin.P3, runtime.config.query_word_limit)
-        return StageOutputs(signal=signal, ranked=None, claim=claim, query=query)
 
-    ranked = tuple(rank_sentences(article.body, signal, runtime.encoder, abbreviations=runtime.abbreviations))
-    claims: ClaimSet = select_claims(list(ranked), runtime.config.claims_k)
-    query = build_query(article.headline, claims.concatenated, QueryOrigin.P1_P2, runtime.config.query_word_limit)
-    return StageOutputs(signal=signal, ranked=ranked, claim=claims.concatenated, query=query)
+def _stages(
+    article: Article, signal: InternalSignal, summary: str | None, ranked: list | None, config: PipelineConfig
+) -> StageOutputs:
+    if ranked is None:  # p3: no per-sentence ranking, the gist itself goes downstream
+        query = build_query(article.headline, summary, QueryOrigin.P3, config.query_word_limit)
+        return StageOutputs(signal=signal, ranked=None, claim=signal.text, query=query)
+    claim = select_claims(ranked, config.claims_k).concatenated
+    query = build_query(article.headline, claim, QueryOrigin.P1_P2, config.query_word_limit)
+    return StageOutputs(signal=signal, ranked=tuple(ranked), claim=claim, query=query)
+
+
+def _derive_block(articles: Sequence[Article], variant: PipelineVariant, runtime: PipelineRuntime) -> list:
+    """Phases 1 and 2 of ``run_pipeline``; entry ``i`` is article ``i``'s stage outputs or input error."""
+    gists = [_attempt(_signal, article, variant, runtime.summarizer) for article in articles]
+    rankings = [None] * len(articles)
+    if variant is not PipelineVariant.P3_HEADLINE_PLUS_SUMMARY:
+        ok = [i for i, gist in enumerate(gists) if not _failed(gist)]
+        bodies, signals = [articles[i].body for i in ok], [gists[i][0] for i in ok]
+        for i, ranked in zip(ok, rank_block(bodies, signals, runtime.encoder, runtime.abbreviations)):
+            rankings[i] = ranked
+    return [
+        _failed(gist, ranked) or _attempt(_stages, article, *gist, ranked, runtime.config)
+        for article, gist, ranked in zip(articles, gists, rankings)
+    ]
 
 
 @dataclass
@@ -131,7 +163,11 @@ class PipelineRecord:
 
     ``label`` is the gold label with the NEI override applied. ``timings``
     are diagnostic; the constructor does not take them, which keeps them
-    out of records files, so those are byte-stable across runs.
+    out of records files, so those are byte-stable across runs. Each is an
+    even share of a block's seconds, so a key summed over a run's records
+    is the run's time in it: ``stages`` for phases 1-2 of ``run_pipeline``
+    (signals through queries), ``evidence`` for phases 3-4 (search through
+    evidence selection), and ``total`` for both.
     """
 
     article_id: str
@@ -178,44 +214,44 @@ _RECORDS = jsonio.Codec(
 )
 
 
-def _process_article(article: Article, variant: PipelineVariant, runtime: PipelineRuntime) -> PipelineRecord:
+def _run_block(articles: Sequence[Article], variant: PipelineVariant, runtime: PipelineRuntime) -> list:
+    config, started = runtime.config, time.monotonic()
+    stages = _derive_block(articles, variant, runtime)
+    derived = time.monotonic()
+    limits = (config.date_window_months, config.max_search_results, config.max_evidence_articles)
+    evidence = [  # one article after another, so a provider sees the queries in article order
+        _failed(stage) or _attempt(retrieve, article, stage.query, runtime.provider, runtime.credible, *limits)
+        for article, stage in zip(articles, stages)
+    ]
+    ok = [i for i, survivors in enumerate(evidence) if not _failed(survivors)]
+    claims, survivors = [stages[i].claim for i in ok], [evidence[i] for i in ok]
+    chosen = select_evidence(claims, survivors, runtime.encoder, config.max_evidence_sentences, runtime.abbreviations)
+    for i, evidence_set in zip(ok, chosen):
+        evidence[i] = evidence_set
+    finished, share = time.monotonic(), 1.0 / len(articles)
+    timings = {"stages": derived - started, "evidence": finished - derived, "total": finished - started}
+    timings = {key: seconds * share for key, seconds in timings.items()}
+    return [_record(*entries, variant, timings) for entries in zip(articles, stages, evidence)]
+
+
+def _record(article: Article, stages, evidence, variant: PipelineVariant, timings: dict) -> PipelineRecord:
     record = PipelineRecord(
         article_id=article.id,
         variant=variant,
         gold_label=article.label,
         article_date_missing=article.published is None,
     )
-    started = time.monotonic()
-    try:
-        stages = derive_stages(article, variant, runtime)
-        record.signal_kind = stages.signal.kind.value
-        record.signal_text = stages.signal.text
-        record.ranked = stages.ranked
-        record.claim = stages.claim
-        record.query = stages.query.text
-        record.timings["stages"] = time.monotonic() - started
-
-        retrieval_started = time.monotonic()
-        evidence = gather_evidence(
-            article,
-            stages.claim,
-            stages.query,
-            runtime.provider,
-            runtime.credible,
-            runtime.encoder,
-            months=runtime.config.date_window_months,
-            max_results=runtime.config.max_search_results,
-            max_articles=runtime.config.max_evidence_articles,
-            max_sentences=runtime.config.max_evidence_sentences,
-            abbreviations=runtime.abbreviations,
-        )
+    record.timings.update(timings)
+    if not _failed(stages):
+        record.signal_kind, record.signal_text = stages.signal.kind.value, stages.signal.text
+        record.ranked, record.claim, record.query = stages.ranked, stages.claim, stages.query.text
+    error = _failed(evidence)  # a failed article's stage error is its evidence entry too
+    if error is None:
         record.evidence = evidence
-        record.timings["evidence"] = time.monotonic() - retrieval_started
         record.label = VeracityLabel.NEI if evidence.is_empty else article.label
-    except (ClaimCheckError, ValueError) as exc:  # bad input: record it, keep going
-        logger.warning("article %s failed in variant %s: %s", article.id, variant.value, exc)
-        record.error = f"{type(exc).__name__}: {exc}"
-    record.timings["total"] = time.monotonic() - started
+    else:  # bad input: record it, keep going
+        logger.warning("article %s failed in variant %s: %s", article.id, variant.value, error)
+        record.error = f"{type(error).__name__}: {error}"
     return record
 
 
@@ -224,13 +260,22 @@ def run_pipeline(
 ) -> list[PipelineRecord]:
     """Process every article under one variant; records keep input order.
 
-    Articles run one after another in the calling thread, so backends need
-    not be thread-safe. One article failing (a flaky provider, an
-    unencodable sentence) marks that record with an error and the batch
-    continues. Only a batch where every article failed raises. Other
-    exceptions are programming errors and propagate.
+    Articles run in the calling thread (backends need not be thread-safe)
+    in blocks of ``BLOCK_ARTICLES``, phase by phase: (1) each signal, with
+    its summary for p2 and p3; (2) for p1 and p2, one ``encode_batch`` for
+    the signals and one for all body sentences, then each ranking, claim
+    and query; (3) search and filtering in article order, so a provider
+    sees the queries in the order one article at a time would send them;
+    (4) one ``encode_batch`` for the claims and one for all evidence
+    sentences, then each article's top evidence. Every text is checked for
+    tokens and every row against the embedding contract, so bad input or a
+    bad row fails only its own article's record, with the error that
+    article alone would get. Only a run where every article failed raises;
+    other exceptions are programming errors and propagate.
     """
-    records = [_process_article(article, variant, runtime) for article in articles]
+    records = []
+    for start in range(0, len(articles), BLOCK_ARTICLES):
+        records += _run_block(articles[start : start + BLOCK_ARTICLES], variant, runtime)
     if records and all(r.error for r in records):
         raise PipelineError(
             f"every article failed in variant {variant.value}; first error: {records[0].error}"

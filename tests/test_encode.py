@@ -15,6 +15,7 @@ from claimcheck.encode import (
     cosine_distance,
     encode,
     encode_batch,
+    encode_pairs,
     l2_normalize,
     reference_encode,
     stable_bucket,
@@ -198,6 +199,65 @@ class TestBatchedEncoding:
 
         with pytest.raises(EncodeError, match=message):
             encode_batch(Broken(), ["text", "more"])
+
+
+class _Faulty(HashedBagEncoder):
+    """Breaks the contract on rows whose text names a fault, or for a whole batch."""
+
+    name = "faulty"
+
+    def __init__(self, batch_fault=None):
+        super().__init__(dimension=16, seed=1)
+        self.batch_fault = batch_fault
+
+    def encode_batch(self, texts):
+        if self.batch_fault == "raises":
+            raise EncodeError("backend refused the batch")
+        rows = super().encode_batch(texts)
+        if self.batch_fault == "short":
+            return rows[:, :8]
+        if self.batch_fault == "missing-row":
+            return rows[1:]
+        for i, text in enumerate(texts):
+            if "nan" in text:
+                rows[i, 0] = np.nan
+            if "double" in text:
+                rows[i] *= 2.0
+        return rows
+
+
+def _alone(backend, head, tail):
+    """What encoding one pair through ``encode`` and ``encode_batch`` gives."""
+    try:
+        return encode(backend, head), encode_batch(backend, tail)
+    except EncodeError as exc:
+        return exc
+
+
+class TestEncodePairs:
+    HEADS = ["first head", "double head", "third head", "fourth head", "fifth head"]
+    TAILS = [["a b", "c d"], ["e f"], [], ["double g", "nan h"], ["i j", "k", "l m n"]]
+
+    @pytest.mark.parametrize("batch_fault", [None, "short"])
+    def test_each_entry_is_what_it_gives_alone(self, batch_fault):
+        backend = _Faulty(batch_fault)
+        pairs = encode_pairs(backend, self.HEADS, self.TAILS)
+        assert len(pairs) == len(self.HEADS)
+        for pair, head, tail in zip(pairs, self.HEADS, self.TAILS):
+            alone = _alone(backend, head, tail)
+            if isinstance(alone, EncodeError):
+                assert isinstance(pair, EncodeError) and str(pair) == str(alone)
+            else:
+                assert np.array_equal(pair[0], alone[0]) and np.array_equal(pair[1], alone[1])
+        failed = [i for i, pair in enumerate(pairs) if isinstance(pair, EncodeError)]
+        assert failed == ([1, 3] if batch_fault is None else [0, 1, 2, 3, 4])
+        if batch_fault is None:  # a non-finite row outranks a non-unit one in the same entry
+            assert "non-finite" in str(pairs[3])
+
+    @pytest.mark.parametrize("batch_fault,message", [("raises", "refused"), ("missing-row", "shape")])
+    def test_a_batch_failure_fails_every_entry(self, batch_fault, message):
+        pairs = encode_pairs(_Faulty(batch_fault), self.HEADS, self.TAILS)
+        assert all(isinstance(pair, EncodeError) and message in str(pair) for pair in pairs)
 
 
 class TestCosineDistance:

@@ -201,6 +201,16 @@ class _PoisonedEvidence(SearchProvider):
         return [dataclasses.replace(r, body=f"{r.body} Zzpoison evidence line.") for r in results]
 
 
+class _CountingEncoder(HashedBagEncoder):
+    def __init__(self):
+        super().__init__()
+        self.batches = 0
+
+    def encode_batch(self, texts):
+        self.batches += 1
+        return super().encode_batch(texts)
+
+
 def _edge_articles(base, tag):
     return [
         dataclasses.replace(base, id=f"{tag}-no-sentence", body="   "),
@@ -215,7 +225,7 @@ def mixed_articles(fixture_articles):
     copies = [dataclasses.replace(a, id=f"{a.id}-copy{n}") for n in range(10) for a in fixture_articles]
     articles = [*fixture_articles, *_edge_articles(fixture_articles[1], "first"), *copies]
     articles += _edge_articles(fixture_articles[2], "last")
-    assert len(articles) > 128
+    assert len(articles) > pipeline_module.BLOCK_ARTICLES
     return articles
 
 
@@ -272,24 +282,38 @@ class TestMatchesPerArticleOracle:
                 assert record.error == "EncodeError: backend 'poisoned' returned a non-unit vector"
 
     @pytest.mark.parametrize("variant", list(PipelineVariant))
+    @pytest.mark.parametrize("count", [12, pipeline_module.BLOCK_ARTICLES, pipeline_module.BLOCK_ARTICLES + 1])
+    def test_encode_batch_calls_per_block(self, variant, count, fixture_articles, runtime):
+        articles = [
+            dataclasses.replace(fixture_articles[i % 12], id=f"a{i}") for i in range(count)
+        ]
+        counting = _CountingEncoder()
+        run_pipeline(articles, variant, dataclasses.replace(runtime, encoder=counting))
+        blocks = -(-count // pipeline_module.BLOCK_ARTICLES)
+        per_block = 2 if variant is PipelineVariant.P3_HEADLINE_PLUS_SUMMARY else 4
+        assert counting.batches <= per_block * blocks
+
+    @pytest.mark.parametrize("variant", list(PipelineVariant))
     def test_token_scans_cover_every_text_and_no_more(self, variant, mixed_articles, mixed_runtime, monkeypatch):
         # Scans by run_pipeline are compared with the oracle's, which scans
         # every text it encodes at least as often as the per-article pipeline did.
-        scans = Counter()
+        scans = []
         real = encode.has_tokens
 
         def counted(text):
-            scans[text] += 1
+            scans[-1][text] += 1
             return real(text)
 
         for module in (encode, claimrank, evidence, oracles):
             monkeypatch.setattr(module, "has_tokens", counted, raising=False)
+        scans.append(Counter())
         run_pipeline(mixed_articles, variant, mixed_runtime)
-        by_pipeline, scans = scans, Counter()
+        scans.append(Counter())
         for article in mixed_articles:
             record_by_article(article, variant, mixed_runtime)
-        assert set(by_pipeline) == set(scans)
-        assert all(by_pipeline[text] <= scans[text] for text in scans)
+        by_pipeline, by_oracle = scans
+        assert set(by_pipeline) == set(by_oracle)
+        assert all(by_pipeline[text] <= by_oracle[text] for text in by_oracle)
 
 
 class TestRecordsIO:
