@@ -237,7 +237,8 @@ def gather_evidence(
     max_sentences: int = DEFAULT_MAX_EVIDENCE_SENTENCES,
     abbreviations: frozenset[str] | None = None,
 ) -> EvidenceSet:
-    """``retrieve``, then ``select_evidence`` for one article."""
+    """Search, filter, and pick the evidence sentences closest to the claim:
+    ``retrieve``, then ``select_evidence`` for one article."""
     survivors = retrieve(article, query, provider, credible, months, max_results, max_articles)
     return unwrap(select_evidence([claim_text], [survivors], backend, max_sentences, abbreviations)[0])
 
@@ -251,10 +252,13 @@ def retrieve(
     max_results: int = DEFAULT_MAX_RESULTS,
     max_articles: int = DEFAULT_MAX_EVIDENCE_ARTICLES,
 ) -> tuple[EvidenceArticle, ...]:
-    """Search, and keep the first ``max_articles`` results, in provider
-    order, that come from a credible registrable domain and carry a date in
-    the article's window. An undated result fails the window check; an
-    undated article passes it (the evidence article keeps a flag for that).
+    """Search, then keep the first ``max_articles`` results, in provider
+    order, that pass both filters.
+
+    A result must come from a credible registrable domain and carry a
+    publication date inside the article's window. A result without a date
+    fails the window check; an article without a date passes it (the
+    record keeps a flag so this is auditable).
     """
     survivors: list[EvidenceArticle] = []
     for result in search(provider, query, max_results=max_results):
@@ -296,13 +300,13 @@ def select_evidence(
             results[i] = EncodeError(NO_TOKENS)
         else:
             candidates = [
-                (order, index, sentence)
+                (order, idx, sentence)
                 for order, evidence_article in enumerate(kept)
-                for index, sentence in enumerate(split_sentences(evidence_article.result.body, abbreviations))
+                for idx, sentence in enumerate(split_sentences(evidence_article.result.body, abbreviations))
                 if has_tokens(sentence)  # nothing to embed otherwise
             ]
             pending.append((i, candidates))
-    heads, tails = [claims[i] for i, _ in pending], [[text for *_, text in c] for _, c in pending]
+    heads, tails = [claims[i] for i, _ in pending], [[text for _, _, text in c] for _, c in pending]
     for (i, candidates), pair in zip(pending, encode_pairs(backend, heads, tails)):
         if isinstance(pair, Exception):
             results[i] = pair
@@ -315,9 +319,9 @@ def select_evidence(
                 distance=distance,
                 source_url=survivors[i][order].result.url,
                 article_order=order,
-                sentence_index=index,
+                sentence_index=idx,
             )
-            for distance, order, index, sentence in pool[:max_sentences]
+            for distance, order, idx, sentence in pool[:max_sentences]
         )
         results[i] = EvidenceSet(articles=survivors[i], sentences=top, concatenated=" ".join(s.text for s in top))
     return results
