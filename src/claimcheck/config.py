@@ -26,25 +26,22 @@ from .evidence import (
 from .providers import FixtureSearchProvider, LiveSearchProvider, RateLimiter
 from .summarize import DEFAULT_MAX_TOKENS, LeadSummarizer, SummarizerBackend
 from .textproc import load_abbreviations
-from .veracity import ClassifierBackend, HashedLinearClassifier, TrainConfig
+from .veracity import HashedLinearClassifier, TrainConfig
 
 
 @dataclass(frozen=True)
 class EncoderSettings:
-    backend: str = "hashed"
     dimension: int = 256
     seed: int = 0
 
 
 @dataclass(frozen=True)
 class SummarizerSettings:
-    backend: str = "lead"
     max_tokens: int = DEFAULT_MAX_TOKENS
 
 
 @dataclass(frozen=True)
 class ClassifierSettings:
-    backend: str = "hashed_linear"
     dimension: int = 1024
     seed: int = 0
     learning_rate: float = 1.0
@@ -95,28 +92,22 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def build_encoder(settings: EncoderSettings) -> EncoderBackend:
-    if settings.backend == "hashed":
-        return HashedBagEncoder(dimension=settings.dimension, seed=settings.seed)
-    raise ConfigError(f"unknown encoder backend {settings.backend!r} (available: hashed)")
+    return HashedBagEncoder(dimension=settings.dimension, seed=settings.seed)
 
 
 def build_summarizer(
     settings: SummarizerSettings, abbreviations: frozenset[str] | None = None
 ) -> SummarizerBackend:
-    if settings.backend == "lead":
-        return LeadSummarizer(max_tokens=settings.max_tokens, abbreviations=abbreviations)
-    raise ConfigError(f"unknown summarizer backend {settings.backend!r} (available: lead)")
+    return LeadSummarizer(max_tokens=settings.max_tokens, abbreviations=abbreviations)
 
 
-def build_classifier(settings: ClassifierSettings) -> ClassifierBackend:
-    if settings.backend == "hashed_linear":
-        return HashedLinearClassifier(
-            dimension=settings.dimension,
-            seed=settings.seed,
-            learning_rate=settings.learning_rate,
-            batch_size=settings.batch_size,
-        )
-    raise ConfigError(f"unknown classifier backend {settings.backend!r} (available: hashed_linear)")
+def build_classifier(settings: ClassifierSettings) -> HashedLinearClassifier:
+    return HashedLinearClassifier(
+        dimension=settings.dimension,
+        seed=settings.seed,
+        learning_rate=settings.learning_rate,
+        batch_size=settings.batch_size,
+    )
 
 
 def build_provider(settings: ProviderSettings) -> SearchProvider:

@@ -13,7 +13,6 @@ import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from datetime import date
-from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
@@ -32,15 +31,9 @@ DEFAULT_MAX_EVIDENCE_SENTENCES = 3
 DEFAULT_WINDOW_MONTHS = 3
 
 
-class QueryOrigin(str, Enum):
-    P1_P2 = "p1_p2"  # headline + selected claim sentences
-    P3 = "p3"  # headline + summary
-
-
 @dataclass(frozen=True)
 class Query:
     text: str
-    origin: QueryOrigin
 
     def __post_init__(self) -> None:
         if not self.text or not self.text.strip():
@@ -50,7 +43,6 @@ class Query:
 def build_query(
     headline: str,
     claims_or_summary: str,
-    origin: QueryOrigin,
     word_limit: int = DEFAULT_QUERY_WORD_LIMIT,
 ) -> Query:
     """Concatenate headline and claim/summary text, keep the first words.
@@ -65,7 +57,7 @@ def build_query(
     words = headline.split()
     if claims_or_summary:
         words += claims_or_summary.split()
-    return Query(text=" ".join(words[:word_limit]), origin=origin)
+    return Query(text=" ".join(words[:word_limit]))
 
 
 @dataclass(frozen=True)

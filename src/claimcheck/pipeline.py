@@ -40,7 +40,6 @@ from .evidence import (
     EvidenceArticle,
     EvidenceSet,
     Query,
-    QueryOrigin,
     SearchProvider,
     build_query,
     retrieve,
@@ -48,7 +47,7 @@ from .evidence import (
 )
 from .summarize import SummarizerBackend, summarize
 from .textproc import rouge1, rouge_l, tokenize
-from .veracity import ClassifierBackend, LabeledText, featurize_concat, featurize_content, predict_texts
+from .veracity import HashedLinearClassifier, LabeledText, featurize_concat, featurize_content, predict_texts
 
 # Unused here. perfbench's tracer wraps functions at their import sites,
 # and these are two of the names it wraps in this module.
@@ -135,10 +134,10 @@ def _stages(
     article: Article, signal: InternalSignal, summary: str | None, ranked: list | None, config: PipelineConfig
 ) -> StageOutputs:
     if ranked is None:  # p3: no per-sentence ranking, the gist itself goes downstream
-        query = build_query(article.headline, summary, QueryOrigin.P3, config.query_word_limit)
+        query = build_query(article.headline, summary, config.query_word_limit)
         return StageOutputs(signal=signal, ranked=None, claim=signal.text, query=query)
     claim = select_claims(ranked, config.claims_k).concatenated
-    query = build_query(article.headline, claim, QueryOrigin.P1_P2, config.query_word_limit)
+    query = build_query(article.headline, claim, config.query_word_limit)
     return StageOutputs(signal=signal, ranked=tuple(ranked), claim=claim, query=query)
 
 
@@ -336,7 +335,7 @@ def build_examples(
 
 
 def annotate_predictions(
-    records: Sequence[PipelineRecord], backend: ClassifierBackend
+    records: Sequence[PipelineRecord], backend: HashedLinearClassifier
 ) -> list[PipelineRecord]:
     """Fill predicted label and probabilities from claim+evidence features.
 

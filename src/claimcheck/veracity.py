@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import random
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -107,39 +106,7 @@ def split_dataset(items: Sequence, config: TrainConfig) -> tuple[list, list, lis
     return train, val, test
 
 
-class ClassifierBackend(ABC):
-    """4-way classifier slot: deterministic inference, epoch-wise training.
-
-    Texts become an ``(n, d)`` feature matrix once, through ``featurize``;
-    training and prediction take that matrix, so a caller featurizes a
-    data set once however many epochs or scoring passes read it.
-    """
-
-    name: str
-
-    @abstractmethod
-    def featurize(self, texts: Sequence[str]) -> np.ndarray:
-        """``(len(texts), d)`` feature matrix; row ``i`` depends on ``texts[i]`` only."""
-
-    @abstractmethod
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """``(n, 4)`` class probabilities of ``n`` feature rows; each row sums to 1."""
-
-    @abstractmethod
-    def train_epoch(self, features: np.ndarray, labels: np.ndarray) -> float:
-        """Run one training pass over feature rows and their integer labels;
-        return the loss before the update."""
-
-    @abstractmethod
-    def get_params(self) -> dict:
-        """Copy of the trainable parameters; later training leaves it as it is."""
-
-    @abstractmethod
-    def set_params(self, params: dict) -> None:
-        """Restore a snapshot taken by ``get_params``."""
-
-
-class HashedLinearClassifier(ClassifierBackend):
+class HashedLinearClassifier:
     """Linear softmax over hashed bag-of-tokens features.
 
     Parameters start at zero, which makes the untrained prediction exactly
@@ -173,6 +140,7 @@ class HashedLinearClassifier(ClassifierBackend):
         self._featurizer = HashedFeaturizer(self.dimension, self.seed)
 
     def featurize(self, texts: Sequence[str]) -> np.ndarray:
+        """``(len(texts), d)`` feature matrix; row ``i`` depends on ``texts[i]`` only."""
         rows = np.empty((len(texts), self.dimension))
         for start in range(0, len(texts), CHUNK_ROWS):
             chunk = texts[start : start + CHUNK_ROWS]
@@ -184,6 +152,7 @@ class HashedLinearClassifier(ClassifierBackend):
         return self.featurize([text])[0]
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
+        """``(n, 4)`` class probabilities of ``n`` feature rows."""
         # One gemv per row: a single ``features @ weights.T`` gemm rounds
         # differently and would change the probabilities written to records.
         logits = np.array([self.weights @ row for row in features]).reshape(-1, NUM_CLASSES) + self.bias
@@ -285,7 +254,7 @@ class TrainResult:
     params: dict
 
 
-def predict_texts(backend: ClassifierBackend, texts: Sequence[str]) -> np.ndarray:
+def predict_texts(backend: HashedLinearClassifier, texts: Sequence[str]) -> np.ndarray:
     """``(len(texts), 4)`` probabilities, featurizing ``CHUNK_ROWS`` texts at a time."""
     probabilities = np.empty((len(texts), NUM_CLASSES))
     for start in range(0, len(texts), CHUNK_ROWS):
@@ -302,7 +271,7 @@ def _hit_rate(probabilities: np.ndarray, labels: np.ndarray) -> float:
     return int(np.count_nonzero(probabilities.argmax(axis=1) == labels)) / len(labels)
 
 
-def label_accuracy(backend: ClassifierBackend, examples: Sequence[LabeledText]) -> float:
+def label_accuracy(backend: HashedLinearClassifier, examples: Sequence[LabeledText]) -> float:
     """Fraction of examples whose argmax prediction matches the gold label."""
     if not examples:
         raise ValueError("cannot score an empty example set")
@@ -310,7 +279,7 @@ def label_accuracy(backend: ClassifierBackend, examples: Sequence[LabeledText]) 
 
 
 def train(
-    backend: ClassifierBackend,
+    backend: HashedLinearClassifier,
     train_set: Sequence[LabeledText],
     validation_set: Sequence[LabeledText],
     config: TrainConfig,
@@ -419,7 +388,7 @@ def score_predictions(
     )
 
 
-def evaluate(backend: ClassifierBackend, test_set: Sequence[LabeledText]) -> EvalReport:
+def evaluate(backend: HashedLinearClassifier, test_set: Sequence[LabeledText]) -> EvalReport:
     """Score a backend's argmax predictions on a labeled test set."""
     if not test_set:
         raise ValueError("cannot evaluate on an empty test set")

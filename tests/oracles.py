@@ -19,7 +19,6 @@ from claimcheck.evidence import (
     EvidenceArticle,
     EvidenceSentence,
     EvidenceSet,
-    QueryOrigin,
     build_query,
     date_window,
     is_credible,
@@ -201,7 +200,7 @@ def record_by_article(article, variant, runtime) -> PipelineRecord:
                 signal = InternalSignal(SignalKind.HEADLINE_PLUS_SUMMARY, f"{article.headline} {summary}")
         if variant is PipelineVariant.P3_HEADLINE_PLUS_SUMMARY:
             ranked, claim = None, signal.text
-            query = build_query(article.headline, summary, QueryOrigin.P3, config.query_word_limit)
+            query = build_query(article.headline, summary, config.query_word_limit)
         else:
             sentences = split_sentences(article.body, runtime.abbreviations)
             if not sentences:
@@ -216,7 +215,7 @@ def record_by_article(article, variant, runtime) -> PipelineRecord:
                 for rank, i in enumerate(order, start=1)
             )
             claim = " ".join(sentence.text for sentence in ranked[: config.claims_k])
-            query = build_query(article.headline, claim, QueryOrigin.P1_P2, config.query_word_limit)
+            query = build_query(article.headline, claim, config.query_word_limit)
         record.signal_kind, record.signal_text = signal.kind.value, signal.text
         record.ranked, record.claim, record.query = ranked, claim, query.text
 

@@ -20,7 +20,6 @@ from claimcheck.encode import HashedBagEncoder, reference_encode
 from claimcheck.evidence import (
     CredibleDomainList,
     Query,
-    QueryOrigin,
     build_query,
     date_window,
     gather_evidence,
@@ -118,7 +117,7 @@ def test_criterion_3_query_word_bound_and_prefix():
     for _ in range(500):
         headline_words = [rng.choice(vocabulary) for _ in range(rng.randint(1, 200))]
         claim_words = [rng.choice(vocabulary) for _ in range(rng.randint(0, 200))]
-        query = build_query(" ".join(headline_words), " ".join(claim_words), QueryOrigin.P1_P2)
+        query = build_query(" ".join(headline_words), " ".join(claim_words))
         words = query.text.split()
         assert len(words) <= 40
         assert words == (headline_words + claim_words)[: len(words)]
@@ -145,7 +144,7 @@ def test_criterion_4_filter_algebra_and_calendar_windows(fixture_articles):
     allowlist = CredibleDomainList(frozenset({"example.com", "factnews.org"}))
     domains = ["example.com", "factnews.org", "junk.net", "spam.biz"]
     article = dataclasses.replace(fixture_articles[0], published=date(2017, 6, 15))
-    query = Query("fixed query", QueryOrigin.P1_P2)
+    query = Query("fixed query")
     for _ in range(40):
         entries = []
         for i in range(rng.randint(0, 14)):

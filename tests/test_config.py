@@ -5,15 +5,9 @@ from pathlib import Path
 import pytest
 
 from claimcheck.config import (
-    ClassifierSettings,
-    EncoderSettings,
     PipelineConfig,
     ProviderSettings,
-    SummarizerSettings,
-    build_classifier,
-    build_encoder,
     build_provider,
-    build_summarizer,
     config_from_dict,
     load_abbreviation_guard,
     load_config,
@@ -85,12 +79,6 @@ def test_missing_config_file():
 
 
 def test_unknown_backends_rejected():
-    with pytest.raises(ConfigError, match="encoder"):
-        build_encoder(EncoderSettings(backend="transformer"))
-    with pytest.raises(ConfigError, match="summarizer"):
-        build_summarizer(SummarizerSettings(backend="seq2seq"))
-    with pytest.raises(ConfigError, match="classifier"):
-        build_classifier(ClassifierSettings(backend="bert"))
     with pytest.raises(ConfigError, match="provider"):
         build_provider(ProviderSettings(kind="crawler"))
 

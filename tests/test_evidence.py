@@ -12,7 +12,6 @@ from claimcheck.errors import ConfigError, FatalSearchError
 from claimcheck.evidence import (
     CredibleDomainList,
     Query,
-    QueryOrigin,
     SearchProvider,
     SearchResult,
     build_query,
@@ -31,33 +30,32 @@ class TestBuildQuery:
     def test_under_limit_keeps_everything(self):
         headline = " ".join(f"h{i}" for i in range(10))
         claims = " ".join(f"c{i}" for i in range(20))
-        query = build_query(headline, claims, QueryOrigin.P1_P2)
+        query = build_query(headline, claims)
         assert query.text == f"{headline} {claims}"
         assert len(query.text.split()) == 30
 
     def test_truncates_to_first_forty_words(self):
         headline = " ".join(f"h{i}" for i in range(10))
         claims = " ".join(f"c{i}" for i in range(50))
-        query = build_query(headline, claims, QueryOrigin.P1_P2)
+        query = build_query(headline, claims)
         words = query.text.split()
         assert len(words) == 40
         assert words == (headline.split() + claims.split())[:40]
 
     def test_headline_only(self):
-        query = build_query("short headline text", "", QueryOrigin.P3)
+        query = build_query("short headline text", "")
         assert query.text == "short headline text"
-        assert query.origin is QueryOrigin.P3
 
     def test_empty_headline(self):
         with pytest.raises(ValueError):
-            build_query("  ", "claims", QueryOrigin.P1_P2)
+            build_query("  ", "claims")
 
     @given(
         st.lists(st.sampled_from(["alpha", "beta", "gamma"]), min_size=1, max_size=200),
         st.lists(st.sampled_from(["delta", "epsilon"]), max_size=200),
     )
     def test_word_bound_and_prefix_property(self, headline_words, claim_words):
-        query = build_query(" ".join(headline_words), " ".join(claim_words), QueryOrigin.P1_P2)
+        query = build_query(" ".join(headline_words), " ".join(claim_words))
         words = query.text.split()
         assert len(words) <= 40
         assert words == (headline_words + claim_words)[: len(words)]
@@ -65,7 +63,7 @@ class TestBuildQuery:
 
     def test_query_must_be_nonempty(self):
         with pytest.raises(ValueError):
-            Query(text="  ", origin=QueryOrigin.P3)
+            Query(text="  ")
 
 
 class TestDateWindow:
@@ -168,7 +166,7 @@ def _result(i, domain="example.com", published="2017-06-20", body="Some body tex
 class TestSearch:
     def test_fixture_identity(self):
         provider = FixtureSearchProvider({"known query": [_result(0), _result(1)]})
-        results = search(provider, Query("Known  Query", QueryOrigin.P1_P2))
+        results = search(provider, Query("Known  Query"))
         assert [r.url for r in results] == [
             "https://example.com/item-0",
             "https://example.com/item-1",
@@ -177,11 +175,11 @@ class TestSearch:
 
     def test_unknown_query_is_empty(self):
         provider = FixtureSearchProvider({"known query": [_result(0)]})
-        assert search(provider, Query("other query", QueryOrigin.P1_P2)) == []
+        assert search(provider, Query("other query")) == []
 
     def test_fifty_results_truncated_to_thirty_five(self):
         provider = FixtureSearchProvider({"big query": [_result(i) for i in range(50)]})
-        results = search(provider, Query("big query", QueryOrigin.P1_P2))
+        results = search(provider, Query("big query"))
         assert len(results) == 35
         assert results[-1].provider_rank == 35
 
@@ -194,7 +192,7 @@ class TestSearch:
                 return [result, result]
 
         with pytest.raises(FatalSearchError, match="duplicate ranks"):
-            search(Dupes(), Query("q", QueryOrigin.P1_P2))
+            search(Dupes(), Query("q"))
 
 
 def _article(published=date(2017, 6, 15)):
@@ -222,7 +220,7 @@ def _provider(entries):
     return FixtureSearchProvider({"harbor query": entries})
 
 
-_QUERY = Query("harbor query", QueryOrigin.P1_P2)
+_QUERY = Query("harbor query")
 
 
 class TestGatherEvidence:

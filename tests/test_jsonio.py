@@ -257,6 +257,9 @@ def test_bad_store_line_is_an_ingest_error(tmp_path, line, message):
         ({"summarizer": {"min_tokens": 60}}, r"unknown keys in config field 'summarizer': \['min_tokens'\]"),
         ({"provider": {"max_in_flight": 2}}, r"unknown keys in config field 'provider': \['max_in_flight'\]"),
         ({"min_claim_sentence_tokens": 0}, r"unknown config keys: \['min_claim_sentence_tokens'\]"),
+        ({"encoder": {"backend": "hashed"}}, r"unknown keys in config field 'encoder': \['backend'\]"),
+        ({"summarizer": {"backend": "lead"}}, r"unknown keys in config field 'summarizer': \['backend'\]"),
+        ({"classifier": {"backend": "hashed_linear"}}, r"unknown keys in config field 'classifier': \['backend'\]"),
     ],
 )
 def test_bad_config_is_a_config_error(data, message):
