@@ -76,6 +76,14 @@ class PipelineConfig:
     max_evidence_sentences: int = DEFAULT_MAX_EVIDENCE_SENTENCES
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.date_window_months < 0:
+            raise ValueError(f"date_window_months must be non-negative, got {self.date_window_months}")
+        for name in ("claims_k", "query_word_limit", "max_search_results", "max_evidence_articles",
+                     "max_evidence_sentences"):
+            if (value := getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+
 
 def config_from_dict(data: dict) -> PipelineConfig:
     return jsonio.CODEC.decode(PipelineConfig, data, "config", error=ConfigError)

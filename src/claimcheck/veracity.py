@@ -294,8 +294,6 @@ def train(
         raise ValueError("training set is empty")
     if not validation_set:
         raise ValueError("validation set is empty")
-    if config.epochs < 1:
-        raise ValueError(f"epochs must be positive, got {config.epochs}")
     classes = {ex.label for ex in train_set}
     if len(classes) == 1:
         logger.warning("training set contains a single class (%s)", next(iter(classes)).name)

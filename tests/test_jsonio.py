@@ -260,6 +260,14 @@ def test_bad_store_line_is_an_ingest_error(tmp_path, line, message):
         ({"encoder": {"backend": "hashed"}}, r"unknown keys in config field 'encoder': \['backend'\]"),
         ({"summarizer": {"backend": "lead"}}, r"unknown keys in config field 'summarizer': \['backend'\]"),
         ({"classifier": {"backend": "hashed_linear"}}, r"unknown keys in config field 'classifier': \['backend'\]"),
+        ({"max_evidence_articles": 0}, "max_evidence_articles must be positive, got 0"),
+        ({"max_evidence_articles": -1}, "max_evidence_articles must be positive, got -1"),
+        ({"max_evidence_sentences": 0}, "max_evidence_sentences must be positive, got 0"),
+        ({"max_search_results": -1}, "max_search_results must be positive, got -1"),
+        ({"max_search_results": 0}, "max_search_results must be positive, got 0"),
+        ({"date_window_months": -3}, "date_window_months must be non-negative, got -3"),
+        ({"claims_k": 0}, "claims_k must be positive, got 0"),
+        ({"query_word_limit": 0}, "query_word_limit must be positive, got 0"),
     ],
 )
 def test_bad_config_is_a_config_error(data, message):
