@@ -30,8 +30,3 @@ def fixture_search_path() -> Path:
 def credible_domains_path() -> Path:
     """Small test allowlist; production lists are operator-provided."""
     return _data_path("credible_domains.txt")
-
-
-def abbreviations_path() -> Path:
-    """Default sentence-splitter abbreviation guard list."""
-    return _data_path("abbreviations.txt")
