@@ -55,8 +55,14 @@ class ProviderSettings:
     endpoint: str | None = None
     api_key_env: str = "CLAIMCHECK_SEARCH_API_KEY"
     cache_dir: str | None = None
-    requests_per_second: float = 3.0
+    requests_per_second: float = 3.0  # 0 = no limit
     timeout: float = 10.0
+
+    def __post_init__(self) -> None:
+        if not self.requests_per_second >= 0:  # also rejects NaN
+            raise ValueError(f"requests_per_second must be non-negative, got {self.requests_per_second}")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout}")
 
 
 @dataclass(frozen=True)

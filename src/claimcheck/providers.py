@@ -93,7 +93,8 @@ class FixtureSearchProvider(SearchProvider):
 class RateLimiter:
     """Enforces a minimum spacing between requests.
 
-    Call ``wait()`` before each request. Thread-safe; time and sleep hooks
+    Call ``wait()`` before each request. A rate of 0 means no limit, and a
+    negative rate is a ``ValueError``. Thread-safe; time and sleep hooks
     are injectable for tests.
     """
 
@@ -103,6 +104,8 @@ class RateLimiter:
         time_func: Callable[[], float] = time.monotonic,
         sleep_func: Callable[[float], None] = time.sleep,
     ):
+        if not requests_per_second >= 0:  # also rejects NaN
+            raise ValueError(f"requests_per_second must be non-negative, got {requests_per_second}")
         self._interval = 1.0 / requests_per_second if requests_per_second > 0 else 0.0
         self._lock = threading.Lock()
         self._next_allowed = 0.0

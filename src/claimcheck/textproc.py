@@ -15,6 +15,9 @@ from pathlib import Path
 TokenSeq = list[str]
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# On ASCII, ``[^\W_]`` is exactly ``[A-Za-z0-9]``: this table lowercases
+# ``A-Z``, keeps ``a-z`` and ``0-9`` and turns every other byte into a space.
+_ASCII_TOKEN_TABLE = bytes(b if b < 128 and chr(b).isalnum() else 32 for b in bytes(range(256)).lower())
 
 # Words that commonly precede a non-terminal period. Lowercase, no dot.
 DEFAULT_ABBREVIATIONS = frozenset(
@@ -32,8 +35,13 @@ def tokenize(text: str) -> TokenSeq:
     """Lowercase ``text`` and split it into alphanumeric tokens.
 
     Punctuation is discarded, digits are kept. Empty input yields an empty
-    token list.
+    token list. ASCII text goes through a byte table and ``str.split``,
+    several times faster than the regex and equal to it by construction;
+    text with any non-ASCII character (curly quotes, dashes, accents) uses
+    ``_TOKEN_RE``, which stays the definition.
     """
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_TOKEN_TABLE).decode("ascii").split()
     return _TOKEN_RE.findall(text.lower())
 
 

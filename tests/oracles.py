@@ -109,6 +109,15 @@ def hashed_bag_by_loop(text: str, dimension: int, seed: int) -> np.ndarray:
     return vec if norm == 0.0 else vec / norm
 
 
+def tokenize_by_scanning(text: str) -> list[str]:
+    """Tokens by testing every character of the lowercased text in turn.
+
+    A character that is not ``str.isalnum()`` becomes a space, and the
+    result is split on whitespace.
+    """
+    return "".join(ch if ch.isalnum() else " " for ch in text.lower()).split()
+
+
 def split_sentences_by_scanning(text: str, guard: frozenset[str]) -> list[str]:
     """Sentence split by testing every character in turn.
 

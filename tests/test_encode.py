@@ -266,6 +266,12 @@ class TestCosineDistance:
         matrix = backend.encode_batch(["alpha", "bravo delta", "echo", "alpha bravo charlie"])
         assert cosine_distance(signal, matrix) == [cosine_distance(signal, row.copy()) for row in matrix]
 
+    def test_matrix_clamps_each_row_and_keeps_nan(self):
+        rows = np.array([[2.0, 0.0], [-3.0, 0.0], [0.5, 0.0], [np.nan, 0.0]])
+        distances = cosine_distance(np.array([1.0, 0.0]), rows)
+        assert distances[:3] == [0.0, 2.0, 0.5]
+        assert np.isnan(distances[3])
+
     def test_matrix_dimension_mismatch(self):
         with pytest.raises(ValueError):
             cosine_distance(np.ones(3), np.ones((2, 4)))

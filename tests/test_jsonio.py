@@ -268,6 +268,11 @@ def test_bad_store_line_is_an_ingest_error(tmp_path, line, message):
         ({"date_window_months": -3}, "date_window_months must be non-negative, got -3"),
         ({"claims_k": 0}, "claims_k must be positive, got 0"),
         ({"query_word_limit": 0}, "query_word_limit must be positive, got 0"),
+        ({"provider": {"requests_per_second": -2, "timeout": -1}}, "requests_per_second must be non-negative, got -2"),
+        ({"provider": {"requests_per_second": -0.5}}, r"bad config field 'provider': requests_per_second must be non-neg"),
+        ({"provider": {"requests_per_second": float("nan")}}, "requests_per_second must be non-negative, got nan"),
+        ({"provider": {"timeout": -1}}, r"bad config field 'provider': timeout must be positive, got -1"),
+        ({"provider": {"timeout": 0}}, "timeout must be positive, got 0"),
     ],
 )
 def test_bad_config_is_a_config_error(data, message):

@@ -85,6 +85,12 @@ class TestRateLimiter:
         limiter.wait()
         assert sleeps == []
 
+    @pytest.mark.parametrize("rate", [-2.0, -1e-9, float("nan")])
+    def test_negative_rate_is_rejected(self, rate):
+        # A sign slip must not read as "no limit", which only 0 means.
+        with pytest.raises(ValueError, match="requests_per_second must be non-negative"):
+            RateLimiter(requests_per_second=rate)
+
 
 class TestResponseCache:
     def test_roundtrip(self, tmp_path):

@@ -20,6 +20,7 @@ from oracles import (
     lcs_length_full_table,
     precision_recall_f1,
     split_sentences_by_scanning,
+    tokenize_by_scanning,
 )
 
 # Latin through Latin Extended-B keeps lowercasing total; the tokenizer is
@@ -51,6 +52,34 @@ class TestTokenize:
 
     def test_digits_kept(self):
         assert tokenize("42 cats in 2017") == ["42", "cats", "in", "2017"]
+
+    @pytest.mark.parametrize("code", range(128))
+    def test_every_ascii_code_point_matches_character_scan(self, code):
+        ch = chr(code)
+        for text in (f"ab{ch}cd", f"{ch}Ab", f"aB{ch}", ch, ch * 3):
+            assert tokenize(text) == tokenize_by_scanning(text), repr(text)
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("\u0130stanbul", ["i", "stanbul"]),  # lowercases to "i" + combining dot above
+            ("Stra\u00dfe", ["stra\u00dfe"]),
+            ("\u216b\u00b2", ["\u217b\u00b2"]),  # roman numeral twelve, superscript two
+            ("don\u2019t", ["don", "t"]),  # right single quotation mark
+            ("It\u2019s 5\u00a0km \u2014 not 50", ["it", "s", "5", "km", "not", "50"]),
+        ],
+    )
+    def test_non_ascii_pins(self, text, tokens):
+        assert not text.isascii()
+        assert tokenize(text) == tokens == tokenize_by_scanning(text)
+
+    @given(st.text(alphabet=st.characters(max_codepoint=127), max_size=200))
+    def test_ascii_text_matches_character_scan(self, text):
+        assert tokenize(text) == tokenize_by_scanning(text)
+
+    @given(st.one_of(st.text(max_size=200), _text_strategy, _terminator_dense))
+    def test_mixed_text_matches_character_scan(self, text):
+        assert tokenize(text) == tokenize_by_scanning(text)
 
     @given(st.one_of(_text_strategy, _terminator_dense))
     def test_has_tokens_agrees_with_tokenize(self, text):
