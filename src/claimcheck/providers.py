@@ -71,6 +71,12 @@ class FixtureSearchProvider(SearchProvider):
         if not isinstance(mapping, dict) or not all(isinstance(v, list) for v in mapping.values()):
             raise ConfigError("fixture search queries must map query text to a list of results")
         self._mapping = {normalize_query_key(k): v for k, v in mapping.items()}
+        if len(self._mapping) < len(mapping):
+            groups: dict[str, list[str]] = {}
+            for key in mapping:
+                groups.setdefault(normalize_query_key(key), []).append(key)
+            collisions = "; ".join(", ".join(map(repr, keys)) for keys in groups.values() if len(keys) > 1)
+            raise ConfigError(f"fixture search queries collide after normalization: {collisions}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureSearchProvider":

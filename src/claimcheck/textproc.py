@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 TokenSeq = list[str]
@@ -46,8 +47,8 @@ def tokenize(text: str) -> TokenSeq:
 
 
 def has_tokens(text: str) -> bool:
-    """``bool(tokenize(text))``, without collecting the tokens."""
-    return _TOKEN_RE.search(text.lower()) is not None
+    """``bool(tokenize(text))``; ``.lower()`` never changes whether ``[^\\W_]`` matches."""
+    return _TOKEN_RE.search(text) is not None
 
 
 def load_abbreviations(path: str | Path) -> frozenset[str]:
@@ -68,8 +69,16 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
     word before it is in the abbreviation guard list. Only whitespace is
     trimmed, so joining the returned sentences loses no tokens relative to
     ``tokenize(text)``.
+
+    ASCII text is split by one compiled regex, over twice as fast and equal
+    by construction; other text keeps the ``_is_boundary`` loop, which stays
+    the definition (perfbench text is all ASCII, so it never times the loop).
     """
     guard = DEFAULT_ABBREVIATIONS if abbreviations is None else abbreviations
+    if text.isascii():
+        parts = _ascii_boundary_re(guard).split(text.strip())
+        pairs = iter(parts)  # sentence, terminator, ..., last sentence or ""
+        return [s + t for s, t in zip(pairs, pairs)] + list(filter(None, parts[-1:]))
     sentences: list[str] = []
     start = 0
     for match in _TERMINATOR_RE.finditer(text):
@@ -83,6 +92,16 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
     if tail:
         sentences.append(tail)
     return sentences
+
+
+@lru_cache
+def _ascii_boundary_re(guard: frozenset[str]) -> re.Pattern[str]:
+    # One fixed-width lookbehind per guarded word length; only [a-z]* words can
+    # match ASCII text. No re.ASCII: \s must match \x1c-\x1f like str.isspace.
+    words = sorted(w for w in guard if re.fullmatch("[a-z]*", w))
+    alternations = {len(w): "|".join(v for v in words if len(v) == len(w)) for w in words}
+    lookbehinds = "".join(f"(?<!(?<![A-Za-z])(?i:{alt})\\.)" for alt in alternations.values())
+    return re.compile(f"([.!?]){lookbehinds}\\s+(?=[A-Z])")
 
 
 def _is_boundary(text: str, i: int, guard: frozenset[str]) -> bool:

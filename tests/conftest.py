@@ -9,6 +9,10 @@ from claimcheck.pipeline import build_runtime
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+# A deeper oracle run: ``pytest --hypothesis-profile thorough``.
+settings.register_profile(
+    "thorough", max_examples=2000, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
 settings.load_profile("ci")
 
 

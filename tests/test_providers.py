@@ -41,6 +41,18 @@ class TestFixtureProvider:
         assert len(results) == 1
         assert results[0].domain == "example.com"
 
+    def test_colliding_keys_are_a_config_error(self):
+        mapping = {"Foo bar": [{"url": "https://a.example.com"}], "foo  bar": [{"url": "https://b.example.com"}]}
+        with pytest.raises(ConfigError, match="'Foo bar', 'foo  bar'"):
+            FixtureSearchProvider(mapping)
+
+    def test_from_file_names_the_file_on_colliding_keys(self, tmp_path):
+        path = tmp_path / "fixture.json"
+        payload = {"format": "fixture-search.v1", "queries": {"A query": [], "a QUERY": []}}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"fixture\.json.*'A query', 'a QUERY'"):
+            FixtureSearchProvider.from_file(path)
+
     def test_domain_derived_from_url_when_missing(self):
         provider = FixtureSearchProvider({"q": [{"url": "https://news.site.org/a"}]})
         assert provider.search("q")[0].domain == "site.org"

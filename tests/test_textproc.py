@@ -1,4 +1,5 @@
 import random
+import sys
 import unicodedata
 
 import pytest
@@ -42,6 +43,23 @@ _fragments = st.sampled_from(
 )
 _terminator_dense = st.lists(_fragments, max_size=60).map("".join)
 
+# The same density in pure ASCII, so every example takes the regex lane:
+# mixed-case guarded words, a guarded word glued to a digit or a letter,
+# and the control characters that ``str.isspace`` counts as whitespace.
+_ascii_fragments = st.sampled_from(
+    [
+        ".", "!", "?", "...", " ", "  ", "\n", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1f", '"', "'", "(",
+        "Dr", "dr", "DR", "dR", "1dr", "xdr", "St", "etc", "No", "e.g", "U.S", "a", "I", "2017", "3.5",
+        "A", "b", "The", "said", "Zoe",
+    ]
+)
+_ascii_dense = st.lists(_ascii_fragments, max_size=60).map("".join)
+# Guard entries that cannot match ASCII text ("Dr", "e.g", "\u00e9") must
+# change nothing; "" guards a period after a non-letter.
+_custom_guards = st.frozensets(
+    st.sampled_from(["", "dr", "st", "etc", "no", "a", "i", "u", "s", "zoe", "Dr", "e.g", "\u00e9"])
+)
+
 
 class TestTokenize:
     def test_empty(self):
@@ -72,6 +90,10 @@ class TestTokenize:
     def test_non_ascii_pins(self, text, tokens):
         assert not text.isascii()
         assert tokenize(text) == tokens == tokenize_by_scanning(text)
+
+    def test_has_tokens_on_every_code_point_matches_character_scan(self):
+        chars = map(chr, range(sys.maxunicode + 1))
+        assert [ch for ch in chars if has_tokens(ch) != bool(tokenize_by_scanning(ch))] == []
 
     @given(st.text(alphabet=st.characters(max_codepoint=127), max_size=200))
     def test_ascii_text_matches_character_scan(self, text):
@@ -122,11 +144,37 @@ class TestSplitSentences:
         # "Dr" is not in the custom guard, so it splits there.
         assert split_sentences("Dr. Smith spoke.", guard) == ["Dr.", "Smith spoke."]
 
-    @given(st.one_of(_terminator_dense, _ascii_prose, _text_strategy))
+    def test_empty_word_guard_blocks_periods_after_non_letters(self):
+        assert split_sentences("2017. The end. A", frozenset({""})) == ["2017. The end.", "A"]
+
+    @pytest.mark.parametrize(
+        "guard, sentences",
+        [
+            # Entries compare with the lowercased word, so "Dr" and "e.g" never match.
+            (frozenset({"Dr", "e.g"}), ["See Dr.", "Smith.", "Use e.g.", "Tea."]),
+            (frozenset({"dr", "g"}), ["See Dr. Smith.", "Use e.g. Tea."]),
+        ],
+    )
+    def test_guard_entries_match_lowercased_letter_runs(self, guard, sentences):
+        text = "See Dr. Smith. Use e.g. Tea."
+        assert split_sentences(text, guard) == sentences == split_sentences_by_scanning(text, guard)
+
+    @pytest.mark.parametrize("code", range(128))
+    def test_every_ascii_code_point_near_a_terminator_matches_character_scan(self, code):
+        ch = chr(code)
+        texts = [f"Ab{ch}{t} Cd" for t in ".!?"]  # right before a terminator
+        texts += [f"Ab{t}{ch}Cd" for t in ".!?"]  # right after one
+        texts += [f"Ab. {ch}Cd", f"{ch}. Ab", f"dr{ch}. Ab", f"Ab.{ch}"]
+        for text in texts:
+            assert text.isascii()
+            expected = split_sentences_by_scanning(text, DEFAULT_ABBREVIATIONS)
+            assert split_sentences(text) == expected, repr(text)
+
+    @given(st.one_of(_terminator_dense, _ascii_dense, _ascii_prose, _text_strategy))
     def test_matches_character_scan(self, text):
         assert split_sentences(text) == split_sentences_by_scanning(text, DEFAULT_ABBREVIATIONS)
 
-    @given(_terminator_dense, st.frozensets(st.sampled_from(["dr", "st", "etc", "no", "u", "s", "zoe"])))
+    @given(st.one_of(_terminator_dense, _ascii_dense), _custom_guards)
     def test_matches_character_scan_under_custom_guard(self, text, guard):
         assert split_sentences(text, guard) == split_sentences_by_scanning(text, guard)
 
