@@ -59,12 +59,10 @@ def _load_corpus(source: str, dataset: str | None) -> list[Article]:
     """Resolve a corpus argument: the literal ``fixture``, a normalized
     store, or a raw file (needs ``--dataset``)."""
     if source == fixtures.FIXTURE_CORPUS_NAME:
-        result = ingest(fixtures.fixture_corpus_path(), DatasetKind.FIXTURE)
-        return normalize_articles(result.articles).articles
-    if dataset:
-        result = ingest(source, DatasetKind(dataset))
-        return normalize_articles(result.articles).articles
-    return load_store(source)
+        source, dataset = fixtures.fixture_corpus_path(), DatasetKind.FIXTURE.value
+    if not dataset:
+        return load_store(source)
+    return normalize_articles(ingest(source, DatasetKind(dataset)).articles).articles
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -167,19 +165,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     if args.records:
         records = read_records(args.records)
-        counts = records_label_distribution(records)
-        skipped = sum(1 for r in records if r.label is None)
-        print(f"{'label':<14}{'count':>8}")
-        for label, count in counts.items():
-            print(f"{label.name.lower():<14}{count:>8}")
-        if skipped:
-            print(f"{'(unlabeled)':<14}{skipped:>8}")
-        return 0
-    articles = _load_corpus(args.corpus, args.dataset)
-    counts = label_distribution(articles)
+        counts, skipped = records_label_distribution(records), sum(1 for r in records if r.label is None)
+    else:
+        counts, skipped = label_distribution(_load_corpus(args.corpus, args.dataset)), 0
     print(f"{'label':<14}{'count':>8}")
     for label, count in counts.items():
         print(f"{label.name.lower():<14}{count:>8}")
+    if skipped:
+        print(f"{'(unlabeled)':<14}{skipped:>8}")
     return 0
 
 

@@ -8,6 +8,7 @@ exists so the whole pipeline runs offline and byte-reproducibly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from abc import ABC, abstractmethod
 from itertools import chain
@@ -24,14 +25,19 @@ _NORM_TOLERANCE = 1e-9
 NO_TOKENS = "text has no tokens to encode"
 
 
+@functools.cache
+def _keyed_blake2b(seed: int):
+    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little", signed=True))
+
+
 def stable_bucket(token: str, seed: int, buckets: int) -> int:
     """Map a token to a bucket index, stable across runs and platforms.
 
     Uses keyed BLAKE2b rather than the interpreter's randomized ``hash``.
     """
-    key = seed.to_bytes(8, "little", signed=True)
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little") % buckets
+    hasher = _keyed_blake2b(seed).copy()
+    hasher.update(token.encode("utf-8"))
+    return int.from_bytes(hasher.digest(), "little") % buckets
 
 
 def l2_normalize(vector: np.ndarray) -> np.ndarray:

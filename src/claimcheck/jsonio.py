@@ -15,10 +15,23 @@ import functools
 import json
 import types
 import typing
+import uuid
 from datetime import date
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
+
+
+def replace_text(path: str | Path, text: str) -> None:
+    """Write ``path`` via a temp file of its own beside it: a failed write leaves ``path`` as it was."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.part")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _stored_names(cls: type) -> list[str]:
@@ -54,14 +67,15 @@ class Codec:
     ``tags`` maps a class to a ``(key, value)`` item stored with each
     instance, such as a format version, that decoding requires. ``custom``
     maps a class to ``(encode, reshape)``: ``encode`` returns an instance's
-    stored form and ``reshape`` turns that back into the field form.
+    stored form (None: the field form) and ``reshape`` turns that back into
+    the field form; it may decode parts with ``plan(cls)``, whose errors keep the field path.
     """
 
     def __init__(self, tags: Mapping[type, tuple[str, Any]] | None = None, custom: Mapping[type, tuple] | None = None):
         self._tags, self._custom = dict(tags or {}), dict(custom or {})
         # Plans are built once per type; the caches die with the codec.
         self._encoder = functools.cache(self._encoder_for)
-        self._decoder = functools.cache(self._plan)
+        self.plan = functools.cache(self._plan)
         self.dumps: Callable[[Any], str] = json.JSONEncoder(
             sort_keys=True, separators=(",", ":"), default=lambda obj: self._encoder(type(obj))(obj)
         ).encode
@@ -69,16 +83,16 @@ class Codec:
     def decode(self, cls: type, data: Any, label: str, error: type[Exception] = ValueError) -> Any:
         """A ``cls`` from its stored form; bad input raises ``error`` naming ``label`` and the field."""
         try:
-            return self._decoder(cls)(copy.deepcopy(data))
+            return self.plan(cls)(copy.deepcopy(data))
         except (TypeError, ValueError) as exc:
             raise error(_describe(exc, label)) from None
 
     def write_lines(self, objs: Iterable[Any], path: str | Path) -> None:
-        Path(path).write_text("".join([self.dumps(obj) + "\n" for obj in objs]), encoding="utf-8")
+        replace_text(path, "".join([self.dumps(obj) + "\n" for obj in objs]))
 
     def read_lines(self, cls: type, path: str | Path, label: str, error: type[Exception] = ValueError) -> list:
         """Decode each non-blank line of ``path``; a bad line raises ``error``."""
-        decode, objs = self._decoder(cls), []
+        decode, objs = self.plan(cls), []
         for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             if line.strip():
                 try:
@@ -90,7 +104,7 @@ class Codec:
         return objs
 
     def _encoder_for(self, cls: type) -> Callable[[Any], Any]:
-        if cls in self._custom:
+        if cls in self._custom and self._custom[cls][0] is not None:
             return self._custom[cls][0]
         if dataclasses.is_dataclass(cls):
             return _field_encoder(cls, self._tags.get(cls))
@@ -101,7 +115,7 @@ class Codec:
     def _plan(self, hint: Any) -> Callable[[Any], Any] | None:
         if typing.get_origin(hint) is tuple:  # tuple[X, ...] or tuple[X, X, X]: lists of one type
             (item_hint,) = {a for a in typing.get_args(hint) if a is not Ellipsis}
-            item = self._decoder(item_hint)
+            item = self.plan(item_hint)
             kinds = _SCALARS.get(item_hint, ())
 
             def decode_tuple(value: Any) -> tuple:
@@ -136,7 +150,7 @@ class Codec:
             nullable = typing.get_origin(hint) in (typing.Union, types.UnionType)
             if nullable:
                 (hint,) = set(typing.get_args(hint)) - {type(None)}
-            convert = self._decoder(hint)
+            convert = self.plan(hint)
             if convert is None:
                 # A missing key reads as a bare object(), left for the constructor to judge.
                 scalars.append((name, _SCALARS[hint] + (object,) + ((type(None),) if nullable else ())))

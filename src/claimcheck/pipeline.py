@@ -4,11 +4,11 @@ Variant p1 ranks body sentences against the headline, p2 against a
 generated summary; p3 skips ranking and sends headline plus summary
 straight downstream. Articles run stage by stage in blocks, and each
 encoding step is one batch per block. Each article produces one
-self-contained record: signal, selected claims, query, filtered evidence,
-and the assigned label (the gold label, overridden to NEI when no evidence
-survived). Records are
-persisted as deterministic JSON lines so classifier experiments replay
-without re-searching.
+self-contained record: signal, sentence ranking (indices and distances),
+claims, query, filtered evidence, and the assigned label (the gold label,
+overridden to NEI when no evidence survived). Records are persisted as
+deterministic JSON lines so classifier experiments replay without
+re-searching; v1 files, which stored each ranked sentence's text, still read.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .evidence import gather_evidence  # noqa: F401, E402  # isort: skip
 
 logger = logging.getLogger(__name__)
 
-RECORD_SCHEMA = "pipeline-record.v1"
+RECORD_SCHEMA = "pipeline-record.v2"  # v1 files still read
 BLOCK_ARTICLES = 128  # articles per stage-major block (see run_pipeline); not a setting
 
 
@@ -160,7 +160,9 @@ def _derive_block(articles: Sequence[Article], variant: PipelineVariant, runtime
 class PipelineRecord:
     """Per-article trace of one pipeline run.
 
-    ``label`` is the gold label with the NEI override applied. ``timings``
+    ``ranked`` is each sentence's index in ``split_sentences(body, abbreviations)``,
+    closest to the signal first, and ``distances`` their distances (both None
+    for p3). ``label`` is the gold label with the NEI override applied. ``timings``
     are diagnostic; the constructor does not take them, which keeps them
     out of records files, so those are byte-stable across runs. Each is an
     even share of a block's seconds, so a key summed over a run's records
@@ -175,7 +177,8 @@ class PipelineRecord:
     label: VeracityLabel | None = None
     signal_kind: str | None = None
     signal_text: str | None = None
-    ranked: tuple[RankedSentence, ...] | None = None
+    ranked: tuple[int, ...] | None = None
+    distances: tuple[float, ...] | None = None
     claim: str | None = None
     query: str | None = None
     article_date_missing: bool = False
@@ -184,6 +187,10 @@ class PipelineRecord:
     predicted_probabilities: tuple[float, ...] | None = None
     error: str | None = None
     timings: dict[str, float] = field(default_factory=dict, init=False)
+
+    def __post_init__(self) -> None:
+        if (self.ranked is None) != (self.distances is None) or len(self.ranked or ()) != len(self.distances or ()):
+            raise ValueError("ranked and distances must both be null, or lists of one length")
 
 
 # A stored evidence article is its search result's fields, minus the body
@@ -207,9 +214,25 @@ def _nested_evidence_article(flat: dict) -> dict:
     return nested
 
 
+@dataclass(frozen=True)
+class _V1Ranking:  # a v1 line's ranking, read with v1's errors; a "distances" key is unknown in v1
+    ranked: tuple[RankedSentence, ...] | None = None
+
+
+def _upgraded(data):
+    """A v1 record's stored form in v2 form; any other value as it is."""
+    if type(data) is dict and data.get("schema") == "pipeline-record.v1":
+        data["schema"] = RECORD_SCHEMA
+        ranked = _RECORDS.plan(_V1Ranking)({k: data.pop(k) for k in ("ranked", "distances") if k in data}).ranked
+        if ranked is not None:
+            ranked = sorted(ranked, key=lambda s: s.rank)
+            data["ranked"], data["distances"] = [s.index for s in ranked], [s.distance for s in ranked]
+    return data
+
+
 _RECORDS = jsonio.Codec(
     tags={PipelineRecord: ("schema", RECORD_SCHEMA)},
-    custom={EvidenceArticle: (_flat_evidence_article, _nested_evidence_article)},
+    custom={EvidenceArticle: (_flat_evidence_article, _nested_evidence_article), PipelineRecord: (None, _upgraded)},
 )
 
 
@@ -243,7 +266,9 @@ def _record(article: Article, stages, evidence, variant: PipelineVariant, timing
     record.timings.update(timings)
     if not _failed(stages):
         record.signal_kind, record.signal_text = stages.signal.kind.value, stages.signal.text
-        record.ranked, record.claim, record.query = stages.ranked, stages.claim, stages.query.text
+        record.claim, record.query = stages.claim, stages.query.text
+        if stages.ranked is not None:
+            record.ranked, record.distances = zip(*[(s.index, s.distance) for s in stages.ranked])
     error = _failed(evidence)  # a failed article's stage error is its evidence entry too
     if error is None:
         record.evidence = evidence

@@ -17,7 +17,6 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-import uuid
 from datetime import date
 from pathlib import Path
 from typing import Callable
@@ -159,14 +158,7 @@ class ResponseCache:
         path = self._path(key)
         if path.exists():
             return  # entries are immutable once written
-        # A temp file of its own, so concurrent writers of one key never share one.
-        tmp = self._dir / f"{key}.{uuid.uuid4().hex}.part"
-        try:
-            tmp.write_text(jsonio.CODEC.dumps(payload), encoding="utf-8")
-            tmp.replace(path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        jsonio.replace_text(path, jsonio.CODEC.dumps(payload))  # concurrent writers never share a temp file
 
 
 def _default_transport(url: str, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:

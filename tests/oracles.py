@@ -11,7 +11,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from claimcheck.claimrank import InternalSignal, RankedSentence, SignalKind
+from claimcheck.claimrank import InternalSignal, SignalKind
 from claimcheck.corpus import VeracityLabel
 from claimcheck.encode import cosine_distance, encode, stable_bucket
 from claimcheck.errors import ClaimCheckError, EncodeError
@@ -208,7 +208,8 @@ def record_by_article(article, variant, runtime) -> PipelineRecord:
             else:
                 signal = InternalSignal(SignalKind.HEADLINE_PLUS_SUMMARY, f"{article.headline} {summary}")
         if variant is PipelineVariant.P3_HEADLINE_PLUS_SUMMARY:
-            ranked, claim = None, signal.text
+            ranked = distances = None
+            claim = signal.text
             query = build_query(article.headline, summary, config.query_word_limit)
         else:
             sentences = split_sentences(article.body, runtime.abbreviations)
@@ -217,16 +218,14 @@ def record_by_article(article, variant, runtime) -> PipelineRecord:
             signal_vec = encode(encoder, signal.text)
             if not all(has_tokens(sentence) for sentence in sentences):
                 raise EncodeError("text has no tokens to encode")
-            distances = [cosine_distance(signal_vec, encode(encoder, sentence)) for sentence in sentences]
-            order = sorted(range(len(sentences)), key=lambda i: (distances[i], i))
-            ranked = tuple(
-                RankedSentence(index=i, text=sentences[i], distance=distances[i], rank=rank)
-                for rank, i in enumerate(order, start=1)
-            )
-            claim = " ".join(sentence.text for sentence in ranked[: config.claims_k])
+            by_index = [cosine_distance(signal_vec, encode(encoder, sentence)) for sentence in sentences]
+            ranked = tuple(sorted(range(len(sentences)), key=lambda i: (by_index[i], i)))
+            distances = tuple(by_index[i] for i in ranked)
+            claim = " ".join(sentences[i] for i in ranked[: config.claims_k])
             query = build_query(article.headline, claim, config.query_word_limit)
         record.signal_kind, record.signal_text = signal.kind.value, signal.text
-        record.ranked, record.claim, record.query = ranked, claim, query.text
+        record.ranked, record.distances = ranked, distances
+        record.claim, record.query = claim, query.text
 
         survivors = []
         for result in search(runtime.provider, query, config.max_search_results):

@@ -7,6 +7,7 @@ from claimcheck import cli
 from claimcheck.cli import main
 from claimcheck.corpus import VeracityLabel, load_store
 from claimcheck.pipeline import read_records, records_label_distribution
+from claimcheck.textproc import split_sentences
 
 
 def test_run_smoke(tmp_path, capsys):
@@ -125,7 +126,7 @@ def test_content_features_without_corpus_is_an_error(tmp_path, capsys):
     assert "require --corpus" in capsys.readouterr().err
 
 
-def test_config_file_round(tmp_path):
+def test_config_file_round(tmp_path, fixture_articles):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"claims_k": 2, "encoder": {"dimension": 128}}), encoding="utf-8")
     out = tmp_path / "records.jsonl"
@@ -133,7 +134,9 @@ def test_config_file_round(tmp_path):
     records = read_records(out)
     # claims_k=2 limits claim sets to two sentences even for long articles.
     longest = max(records, key=lambda r: len(r.ranked))
-    claim_texts = [s.text for s in sorted(longest.ranked, key=lambda s: s.rank)][:2]
+    bodies = {a.id: a.body for a in fixture_articles}
+    sentences = split_sentences(bodies[longest.article_id])  # the default config's guard
+    claim_texts = [sentences[i] for i in longest.ranked][:2]
     assert longest.claim == " ".join(claim_texts)
 
 

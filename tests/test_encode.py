@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -72,6 +73,28 @@ class TestHashedBagEncoder:
         a = reference_encode("same text", dimension=64, seed=0)
         b = reference_encode("same text", dimension=64, seed=1)
         assert not np.array_equal(a, b)
+
+
+class TestStableBucket:
+    TOKENS = ["alpha", "", "x", "straße", "İstanbul", "日本語", "don’t", "a" * 300]
+
+    @staticmethod
+    def _reference(token, seed, buckets):
+        key = seed.to_bytes(8, "little", signed=True)
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
+        return int.from_bytes(digest, "little") % buckets
+
+    @pytest.mark.parametrize("buckets", [2, 256, 1 << 20])
+    def test_matches_the_keyed_blake2b_formula(self, buckets):
+        # Seeds interleave, so a keyed state reused across seeds or tokens would show.
+        for _ in range(2):
+            for token in self.TOKENS:
+                for seed in (0, 1, -5, 2**62):
+                    assert stable_bucket(token, seed, buckets) == self._reference(token, seed, buckets)
+
+    def test_seed_outside_64_bits_is_rejected(self):
+        with pytest.raises(OverflowError):
+            stable_bucket("alpha", 2**63, 256)
 
 
 class TestEncodeContract:

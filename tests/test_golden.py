@@ -22,14 +22,14 @@ from claimcheck.pipeline import (
 from claimcheck.veracity import HashedLinearClassifier, TrainConfig, split_dataset, train
 
 GOLDEN_SHA256 = {
-    PipelineVariant.P1_HEADLINE: "3dda259251846984a7ae8be9e38d8da748c02e2ca021ad5f9c3db0e37c615449",
-    PipelineVariant.P2_SUMMARY: "fae4b53057b81606ddc79ada53a01fdc00f12569cae6e390bdc64bb13ae58e48",
-    PipelineVariant.P3_HEADLINE_PLUS_SUMMARY: "8f15d768474d4bc1bed198d2eeb896bf0eae6c75942f9620ec98248500c26ebb",
+    PipelineVariant.P1_HEADLINE: "c9a23a1dd6c12da120538c6039baf82bfb0761a866cf2f97792aa86a323af3d4",
+    PipelineVariant.P2_SUMMARY: "d2a4a87e18007ec959e945bb0a1310a1b316c950a004879efe812c3c689cc51a",
+    PipelineVariant.P3_HEADLINE_PLUS_SUMMARY: "d580914df0c395963f83cf2d13d8df5a9b72e44873809ed42c61b6fa3d0a6e33",
 }
 # The normalized fixture corpus as ``save_store`` writes it.
 STORE_SHA256 = "01c79e810e8b1079064c639f3e28fbaf7de71a8be9b17b19a04c7d6265c6d748"
 # p2 records with predicted labels and probabilities filled in.
-ANNOTATED_P2_SHA256 = "d6dc2e323e1062cf8ebd4dba314be78f6679ba6594c187fe7c3312f21d46307f"
+ANNOTATED_P2_SHA256 = "3681581da209cfbbd1f0d3304197c83777af71c33973c1df85fd3f809af4ae25"
 
 
 @pytest.mark.parametrize("variant", list(PipelineVariant), ids=lambda v: v.value)

@@ -8,13 +8,14 @@ and ``OSError`` as errors.
 """
 
 import dataclasses
+import errno
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from claimcheck.claimrank import RankedSentence
 from claimcheck.cli import main
 from claimcheck.config import config_from_dict
 from claimcheck.corpus import Article, DatasetKind, VeracityLabel, load_store, save_store
@@ -71,18 +72,26 @@ evidence_sets = st.builds(
     concatenated=texts,
 )
 
+# A ranking as its two parallel fields: (sentence indices, distances).
+rankings = st.none() | st.lists(st.tuples(st.integers(), floats), max_size=4).map(
+    lambda pairs: (tuple(i for i, _ in pairs), tuple(d for _, d in pairs))
+)
+
+
+def _record(ranking, **fields) -> PipelineRecord:
+    ranked, distances = ranking or (None, None)
+    return PipelineRecord(**fields, ranked=ranked, distances=distances)
+
+
 records = st.builds(
-    PipelineRecord,
+    _record,
+    ranking=rankings,
     article_id=texts,
     variant=st.sampled_from(PipelineVariant),
     gold_label=optional_labels,
     label=optional_labels,
     signal_kind=optional_texts,
     signal_text=optional_texts,
-    ranked=st.none()
-    | st.lists(
-        st.builds(RankedSentence, index=st.integers(), text=texts, distance=floats, rank=st.integers()), max_size=4
-    ).map(tuple),
     claim=optional_texts,
     query=optional_texts,
     article_date_missing=st.booleans(),
@@ -132,6 +141,10 @@ def _record_line(**changes) -> dict:
     line = {"schema": "pipeline-record.v1", "article_id": "a1", "variant": "p1"}
     line.update(changes)
     return line
+
+
+def _v2_line(**changes) -> dict:
+    return _record_line(schema="pipeline-record.v2", **changes)
 
 
 _ARTICLE = {
@@ -189,6 +202,15 @@ def test_minimal_record_line_reads(tmp_path):
         (_record_line(predicted_probabilities=["x", None]), r"field 'predicted_probabilities': .*expected float, got str"),
         (_record_line(predicted_probabilities=[0.5, None]), r"field 'predicted_probabilities': .*expected float, got NoneType"),
         (_record_line(predicted_probabilities=[0.5, True]), r"field 'predicted_probabilities': .*expected float, got bool"),
+        (_record_line(distances=[0.1]), r"unknown record keys: \['distances'\]"),  # not a v1 field
+        (_v2_line(ranked=["0"], distances=[0.1]), r"bad record field 'ranked': item 0: expected int, got str"),
+        (_v2_line(ranked=[0], distances=["0.1"]), r"bad record field 'distances': item 0: expected float, got str"),
+        (_v2_line(ranked=[0.0], distances=[0.1]), r"bad record field 'ranked': item 0: expected int, got float"),
+        (_v2_line(ranked=[0, 1], distances=[0.1]), "bad record: ranked and distances must both be null, or lists of one length"),
+        (_v2_line(ranked=[], distances=[0.1]), "ranked and distances must both be null"),
+        (_v2_line(ranked=[0]), "ranked and distances must both be null"),
+        (_v2_line(distances=[0.1], ranked=None), "ranked and distances must both be null"),
+        (_v2_line(ranked=[{"index": 0, "text": "s", "distance": 0.1, "rank": 1}], distances=[0.1]), "'ranked': item 0: expected int"),
     ],
 )
 def test_bad_record_line_is_a_value_error(tmp_path, line, message):
@@ -299,3 +321,46 @@ def test_cli_reports_bad_records_file(tmp_path, capsys):
     _write_lines(path, _record_line(ranked=[5]))
     assert main(["stats", "--records", str(path)]) == 1
     assert "error: record line 1: bad record field 'ranked'" in capsys.readouterr().err
+
+
+class _FullDisk:
+    """A text file whose ``write`` stores half its text, then fails as a full disk does."""
+
+    def __init__(self, file):
+        self._file = file
+
+    def write(self, text):
+        self._file.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._file.close()
+
+
+_OLD_RECORD = PipelineRecord(article_id="old", variant=PipelineVariant.P1_HEADLINE)
+_OLD_ARTICLE = Article(id="old", headline="h", body="b", dataset=DatasetKind.FIXTURE, raw_label="true")
+
+
+@pytest.mark.parametrize(
+    "write, old, new",
+    [
+        (write_records, _OLD_RECORD, dataclasses.replace(_OLD_RECORD, article_id="new")),
+        (save_store, _OLD_ARTICLE, dataclasses.replace(_OLD_ARTICLE, id="new")),
+    ],
+    ids=["records", "store"],
+)
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, write, old, new):
+    path = tmp_path / "out.jsonl"
+    write([old], path)
+    before = path.read_bytes()
+    real_open = Path.open
+    monkeypatch.setattr(Path, "open", lambda self, *args, **kwargs: _FullDisk(real_open(self, *args, **kwargs)))
+    with pytest.raises(OSError) as excinfo:
+        write([new] * 50, path)
+    monkeypatch.undo()
+    assert excinfo.value.errno == errno.ENOSPC
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]  # no temp file left behind

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,8 @@ from claimcheck.textproc import rouge1, rouge_l, split_sentences, tokenize
 from claimcheck.veracity import NO_EVIDENCE, HashedLinearClassifier
 import oracles
 from oracles import record_by_article
+
+V1_RECORDS = Path(__file__).parent / "data" / "records_p1.v1.jsonl"
 
 
 @pytest.fixture(scope="module")
@@ -53,14 +56,30 @@ class TestRunPipeline:
                 if not record.evidence.is_empty:
                     assert record.label is record.gold_label
 
-    def test_p1_p2_claim_counts(self, fixture_articles, records_by_variant):
-        sentence_counts = {a.id: len(split_sentences(a.body)) for a in fixture_articles}
+    def test_p1_p2_claim_counts(self, fixture_articles, runtime, records_by_variant):
+        sentences = {a.id: split_sentences(a.body, runtime.abbreviations) for a in fixture_articles}
         for variant in (PipelineVariant.P1_HEADLINE, PipelineVariant.P2_SUMMARY):
             for record in records_by_variant[variant]:
-                expected = min(3, sentence_counts[record.article_id])
-                assert len(record.ranked) == sentence_counts[record.article_id]
-                claim_sentences = [r.text for r in sorted(record.ranked, key=lambda r: r.rank)][:expected]
+                expected = min(3, len(sentences[record.article_id]))
+                assert len(record.ranked) == len(sentences[record.article_id])
+                claim_sentences = [sentences[record.article_id][i] for i in record.ranked][:expected]
                 assert record.claim == " ".join(claim_sentences)
+
+    @pytest.mark.parametrize("variant", [PipelineVariant.P1_HEADLINE, PipelineVariant.P2_SUMMARY], ids=lambda v: v.value)
+    def test_ranking_indexes_the_body_sentences(self, variant, fixture_articles, runtime, records_by_variant):
+        articles = {a.id: a for a in fixture_articles}
+        for record in records_by_variant[variant]:
+            article = articles[record.article_id]
+            sentences = split_sentences(article.body, runtime.abbreviations)
+            assert sorted(record.ranked) == list(range(len(sentences)))
+            keys = list(zip(record.distances, record.ranked))
+            assert all(a < b for a, b in zip(keys, keys[1:]))  # closest first, ties by index
+            claims = [sentences[i] for i in record.ranked[: runtime.config.claims_k]]
+            assert record.claim == " ".join(claims)
+            signal = claimrank.InternalSignal(claimrank.SignalKind(record.signal_kind), record.signal_text)
+            alone = claimrank.rank_sentences(article.body, signal, runtime.encoder, runtime.abbreviations)
+            assert record.ranked == tuple(r.index for r in alone)
+            assert [d.hex() for d in record.distances] == [r.distance.hex() for r in alone]  # bit-equal
 
     def test_p3_has_no_ranking_and_uses_gist_directly(self, fixture_articles, runtime, records_by_variant):
         headlines = {a.id: a.headline for a in fixture_articles}
@@ -331,7 +350,30 @@ class TestRecordsIO:
         path = tmp_path / "records.jsonl"
         write_records(records_by_variant[PipelineVariant.P1_HEADLINE], path)
         for line in path.read_text().splitlines():
-            assert json.loads(line)["schema"] == "pipeline-record.v1"
+            assert json.loads(line)["schema"] == "pipeline-record.v2"
+
+    def test_v1_file_reads_as_todays_records(self, fixture_articles, runtime, tmp_path):
+        # tests/data/records_p1.v1.jsonl was written by the v1 writer from the fixture corpus.
+        path = tmp_path / "records.jsonl"
+        write_records(run_pipeline(fixture_articles, PipelineVariant.P1_HEADLINE, runtime), path)
+        upgraded = read_records(V1_RECORDS)
+        assert upgraded == read_records(path)
+        again = tmp_path / "again.jsonl"
+        write_records(upgraded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_v1_ranking_is_ordered_by_rank(self, tmp_path):
+        entries = [
+            {"index": 2, "text": "c", "distance": 0.5, "rank": 3},
+            {"index": 0, "text": "a", "distance": 0.125, "rank": 1},
+            {"index": 1, "text": "b", "distance": 0.25, "rank": 2},
+        ]
+        path = tmp_path / "records.jsonl"
+        line = {"schema": "pipeline-record.v1", "article_id": "a", "variant": "p1", "ranked": entries}
+        path.write_text(json.dumps(line) + "\n" + json.dumps(dict(line, ranked=None)) + "\n", encoding="utf-8")
+        ranked, unranked = read_records(path)
+        assert (ranked.ranked, ranked.distances) == ((0, 1, 2), (0.125, 0.25, 0.5))
+        assert (unranked.ranked, unranked.distances) == (None, None)
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "records.jsonl"
