@@ -136,42 +136,41 @@ def ingest(
         raise IngestError(f"unknown corpus format {fmt!r} (expected csv or jsonl)")
 
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
+    try:  # newline="": the csv module reads line ends inside quoted fields itself
+        handle = path.open(encoding="utf-8", newline="" if fmt == "csv" else None)
     except OSError as exc:
         raise IngestError(f"cannot read corpus file {path}: {exc}") from exc
 
-    rows = _read_csv(text) if fmt == "csv" else _read_jsonl(text)
-
     result = IngestResult(articles=[])
     seen_ids: set[str] = set()
-    for line_no, row in rows:
-        result.rows_read += 1
-        if isinstance(row, str):  # parse failure, message in the row slot
-            result.skipped_malformed += 1
-            result.warnings.append(f"row {line_no}: {row}")
-            continue
-        try:
-            article = _row_to_article(row, dataset)
-        except ValueError as exc:
-            result.skipped_malformed += 1
-            result.warnings.append(f"row {line_no}: {exc}")
-            continue
-        if not article.headline.strip() or not article.body.strip():
-            result.dropped_empty += 1
-            continue
-        if article.id in seen_ids:
-            raise IngestError(f"duplicate article id {article.id!r} at row {line_no}")
-        seen_ids.add(article.id)
-        result.articles.append(article)
+    with handle:
+        for line_no, row in _read_csv(handle) if fmt == "csv" else _read_jsonl(handle):
+            result.rows_read += 1
+            if isinstance(row, str):  # parse failure, message in the row slot
+                result.skipped_malformed += 1
+                result.warnings.append(f"row {line_no}: {row}")
+                continue
+            try:
+                article = _row_to_article(row, dataset)
+            except ValueError as exc:
+                result.skipped_malformed += 1
+                result.warnings.append(f"row {line_no}: {exc}")
+                continue
+            if not article.headline.strip() or not article.body.strip():
+                result.dropped_empty += 1
+                continue
+            if article.id in seen_ids:
+                raise IngestError(f"duplicate article id {article.id!r} at row {line_no}")
+            seen_ids.add(article.id)
+            result.articles.append(article)
 
     for message in result.warnings:
         logger.warning("ingest %s: %s", path.name, message)
     return result
 
 
-def _read_csv(text: str):
-    reader = csv.DictReader(text.splitlines())
+def _read_csv(lines: Iterable[str]):
+    reader = csv.DictReader(lines)
     if reader.fieldnames is None:
         raise IngestError("corpus file is empty")
     missing = [c for c in _REQUIRED_COLUMNS if c not in reader.fieldnames]
@@ -184,8 +183,9 @@ def _read_csv(text: str):
         yield line_no, row
 
 
-def _read_jsonl(text: str):
-    for line_no, line in enumerate(text.splitlines(), start=1):
+def _read_jsonl(lines: Iterable[str]):
+    # Split at line ends only: JSON allows U+0085, U+2028 and U+2029 raw in strings.
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:

@@ -9,10 +9,12 @@ Decoding follows the type hints, through a plan built once per type.
 
 from __future__ import annotations
 
+import codecs
 import copy
 import dataclasses
 import functools
 import json
+import re
 import types
 import typing
 import uuid
@@ -32,6 +34,60 @@ def replace_text(path: str | Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+LOAD_CHUNK_BYTES = 1 << 20  # how much of a file ``load`` reads at a time
+_DECODER = json.JSONDecoder()
+# Guessed cuts, checked by decoding: a member that is an object; a comma after a list or object, before a key.
+_OBJECT_MEMBER = re.compile(r'[{,][ \t\n\r]*("(?:[^"\\]|\\.)*")[ \t\n\r]*:[ \t\n\r]*\{')
+_LAST_CUT = re.compile(r'.*[\]}][ \t\n\r]*(,)[ \t\n\r]*"', re.S)
+
+
+def load(path: str | Path, chunk_bytes: int = LOAD_CHUNK_BYTES) -> Any:
+    """``json.loads`` of the UTF-8 text of ``path``. A top-level object whose last member is an
+    object, as in a fixture-search file, is decoded with about one chunk of its text undecoded
+    at a time; any other text goes whole to ``json.loads``, which gives the value or the error."""
+    try:
+        with open(path, "rb") as handle:
+            return _load_last_member_in_runs(handle, chunk_bytes)
+    except (OSError, ValueError):  # also a UnicodeDecodeError, whose position would count from a chunk
+        pass
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def _load_last_member_in_runs(handle: typing.BinaryIO, chunk_bytes: int) -> dict:
+    """The members before the first one that is an object come from the first chunk. That object's
+    members are decoded a run at a time, as "{" + run + "}": this succeeds only at a comma between
+    two of them (a "}" closes one level, a comma never splits a token, a cut string stays open)."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    buf, eof = decode(handle.read(chunk_bytes)), False
+    if not (member := _OBJECT_MEMBER.search(buf)):
+        raise ValueError("no member that is an object in the first chunk")
+    key, pos, member = json.loads(member[1]), member.end() - 1, None  # a match holds all of ``buf``
+    head, stop = _DECODER.raw_decode(buf[: pos + 1] + "}}")  # {} stands in for the object
+    if stop < pos + 3:
+        raise ValueError("the top-level object closes before that member")
+    while True:  # buf[pos] is the object's "{" or the "," after its last decoded member
+        cut = None if eof else _LAST_CUT.match(buf, pos + 1)  # at the end, decode the rest
+        end = cut.start(1) if cut else len(buf)
+        try:
+            run, stop = _DECODER.raw_decode("{" + buf[pos + 1 : end] + ("}" if cut else ""))
+        except json.JSONDecodeError:  # the run is not whole yet, or the guess was wrong
+            if eof:
+                raise
+        else:
+            head[key].update(run)
+            if not cut or stop <= end - pos:  # the object closed before the added "}"
+                break
+            pos = end
+            continue
+        tail, buf = buf[pos:], ""  # read as much again as is left: a long member is decoded O(log n) times
+        eof = not (data := handle.read(max(chunk_bytes, len(tail))))
+        text, data = decode(data, eof), b""  # each copy of the text dies before the next is made
+        buf, pos, text = tail + text, 0, ""
+    if (buf[pos + stop :] + decode(handle.read(), True)).strip(" \t\n\r") != "}":
+        raise ValueError("a member follows the object")
+    return head
 
 
 def _stored_names(cls: type) -> list[str]:
@@ -93,14 +149,15 @@ class Codec:
     def read_lines(self, cls: type, path: str | Path, label: str, error: type[Exception] = ValueError) -> list:
         """Decode each non-blank line of ``path``; a bad line raises ``error``."""
         decode, objs = self.plan(cls), []
-        for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if line.strip():
-                try:
-                    objs.append(decode(json.loads(line)))
-                except json.JSONDecodeError as exc:
-                    raise error(f"{label} line {line_no}: invalid JSON ({exc.msg})") from None
-                except (TypeError, ValueError) as exc:
-                    raise error(f"{label} line {line_no}: {_describe(exc, label)}") from None
+        with open(path, encoding="utf-8") as lines:  # not str.splitlines(): JSON strings may hold U+2028
+            for line_no, line in enumerate(lines, 1):
+                if line.strip():
+                    try:
+                        objs.append(decode(json.loads(line)))
+                    except json.JSONDecodeError as exc:
+                        raise error(f"{label} line {line_no}: invalid JSON ({exc.msg})") from None
+                    except (TypeError, ValueError) as exc:
+                        raise error(f"{label} line {line_no}: {_describe(exc, label)}") from None
         return objs
 
     def _encoder_for(self, cls: type) -> Callable[[Any], Any]:

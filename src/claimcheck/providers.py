@@ -69,7 +69,9 @@ class FixtureSearchProvider(SearchProvider):
     def __init__(self, mapping: dict[str, list[dict]]):
         if not isinstance(mapping, dict) or not all(isinstance(v, list) for v in mapping.values()):
             raise ConfigError("fixture search queries must map query text to a list of results")
-        self._mapping = {normalize_query_key(k): v for k, v in mapping.items()}
+        keys = " ".join(mapping)  # one pass over all keys: in normal form, lowercase words joined by single spaces
+        normal = keys.lower() == keys and keys.isprintable() and "  " not in keys and keys.strip(" ") == keys
+        self._mapping = mapping if normal else {normalize_query_key(k): v for k, v in mapping.items()}
         if len(self._mapping) < len(mapping):
             groups: dict[str, list[str]] = {}
             for key in mapping:
@@ -80,8 +82,8 @@ class FixtureSearchProvider(SearchProvider):
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureSearchProvider":
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            payload = jsonio.load(path)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load fixture search file {path}: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("format") != FIXTURE_FORMAT:
             raise ConfigError(f"fixture search file {path} is not in {FIXTURE_FORMAT!r} format")

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import jsonio
 from .corpus import VeracityLabel
 from .encode import HashedFeaturizer
 from .errors import ConfigError
@@ -214,7 +215,7 @@ class HashedLinearClassifier:
             "weights": self.weights.tolist(),
             "bias": self.bias.tolist(),
         }
-        Path(path).write_text(json.dumps(snapshot, sort_keys=True), encoding="utf-8")
+        jsonio.replace_text(path, json.dumps(snapshot, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "HashedLinearClassifier":

@@ -126,6 +126,44 @@ class TestIngest:
         assert [a.id for a in result.articles] == ["s-2"]
         assert result.skipped_malformed == 1
 
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_jsonl_splits_only_at_line_ends(self, tmp_path, separator):
+        # JSON allows these raw inside strings; str.splitlines() would cut the row there.
+        rows = [_row(i, body=f"First one.{separator}Second one.") for i in range(2)]
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(json.dumps(r, ensure_ascii=False) for r in rows) + "\n", encoding="utf-8")
+        result = ingest(path, DatasetKind.FIXTURE)
+        assert (result.rows_read, result.skipped_malformed) == (2, 0)
+        assert [a.body for a in result.articles] == [f"First one.{separator}Second one."] * 2
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_jsonl_line_ends(self, tmp_path, newline):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(newline.join(json.dumps(_row(i)) for i in range(3)).encode("utf-8"))
+        result = ingest(path, DatasetKind.FIXTURE)
+        assert [a.id for a in result.articles] == ["a-0", "a-1", "a-2"]
+
+    def test_raw_vertical_tab_is_one_malformed_row(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        lines = [json.dumps(_row(0)), json.dumps(_row(1)).replace("Body", "Bo\x0bdy"), json.dumps(_row(2))]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = ingest(path, DatasetKind.FIXTURE)
+        assert (result.rows_read, result.skipped_malformed) == (3, 1)
+        assert [a.id for a in result.articles] == ["a-0", "a-2"]
+
+    @pytest.mark.parametrize("inner", ["\u2028", "\x85", "\n", "\r\n"])
+    def test_csv_quoted_field_keeps_its_line_breaks(self, tmp_path, inner):
+        path = tmp_path / "c.csv"
+        path.write_bytes(
+            (
+                "id,headline,body,published,source_domain,raw_label\r\n"
+                f's-1,Big headline,"First one.{inner}Second one.",2017-01-05,example.com,false\r\n'
+                "s-2,Other headline,More body text.,,example.org,false\r\n"
+            ).encode("utf-8")
+        )
+        result = ingest(path, DatasetKind.SNOPES)
+        assert [a.body for a in result.articles] == [f"First one.{inner}Second one.", "More body text."]
+
     def test_deterministic(self, tmp_path):
         path = _jsonl(tmp_path / "c.jsonl", [_row(i) for i in range(5)])
         first = ingest(path, DatasetKind.FIXTURE).articles

@@ -9,19 +9,25 @@ and ``OSError`` as errors.
 
 import dataclasses
 import errno
+import functools
+import io
 import json
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from claimcheck import jsonio
 from claimcheck.cli import main
 from claimcheck.config import config_from_dict
 from claimcheck.corpus import Article, DatasetKind, VeracityLabel, load_store, save_store
 from claimcheck.errors import ConfigError, IngestError
 from claimcheck.evidence import EvidenceArticle, EvidenceSentence, EvidenceSet, SearchResult
 from claimcheck.pipeline import PipelineRecord, PipelineVariant, read_records, write_records
+from claimcheck.veracity import HashedLinearClassifier
 
 texts = st.text(max_size=30)
 optional_texts = st.none() | texts
@@ -241,6 +247,15 @@ def test_record_error_names_the_line(tmp_path):
 _STORED_ARTICLE = {"id": "a", "headline": "h", "body": "b", "dataset": "fixture", "raw_label": "true"}
 
 
+def test_store_line_may_hold_raw_line_separators(tmp_path):
+    # JSON allows U+0085, U+2028 and U+2029 raw inside strings; only line ends split lines.
+    body = "one\x85two\u2028three\u2029four"
+    article = Article(id="a", headline="h", body=body, dataset=DatasetKind.FIXTURE, raw_label="true")
+    stored = json.dumps(dict(_STORED_ARTICLE, body=article.body), ensure_ascii=False)
+    (tmp_path / "store.jsonl").write_text(stored + "\r\n" + stored.replace('"a"', '"b"') + "\n", encoding="utf-8")
+    assert load_store(tmp_path / "store.jsonl") == [article, dataclasses.replace(article, id="b")]
+
+
 @pytest.mark.parametrize(
     "line, message",
     [
@@ -349,8 +364,9 @@ _OLD_ARTICLE = Article(id="old", headline="h", body="b", dataset=DatasetKind.FIX
     [
         (write_records, _OLD_RECORD, dataclasses.replace(_OLD_RECORD, article_id="new")),
         (save_store, _OLD_ARTICLE, dataclasses.replace(_OLD_ARTICLE, id="new")),
+        (lambda models, path: models[0].save(path), HashedLinearClassifier(dimension=8, seed=1), HashedLinearClassifier(dimension=8, seed=2)),
     ],
-    ids=["records", "store"],
+    ids=["records", "store", "model"],
 )
 def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, write, old, new):
     path = tmp_path / "out.jsonl"
@@ -364,3 +380,191 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, write, old, new)
     assert excinfo.value.errno == errno.ENOSPC
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]  # no temp file left behind
+
+
+# jsonio.load: json.loads of a file; a fixture-search file is decoded a chunk at a time.
+
+_SPACES = st.sampled_from(["", " ", "\n", "\r\n", "\t", "\n    "])
+# Text a guessed cut can land in: brackets, commas, quotes, escapes and non-ASCII.
+_PIECES = [",", "}", "]", "{", "[", '"', "\\", ":", '], "', "é", "\xa0", " ", "😀", "\n", "a", " "]
+_NUMBERS = st.one_of(
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "-0", "1E5", "-2.5e-3", "123456789012345678901234567890"]),
+)
+
+
+@st.composite
+def _json_string(draw):
+    text = "".join(draw(st.lists(st.sampled_from(_PIECES), max_size=6)))
+    return json.dumps(text, ensure_ascii=draw(st.booleans()))
+
+
+@st.composite
+def _json_text(draw, depth=0, kinds=("object", "list", "scalar")):
+    """JSON text with random whitespace: objects nested up to 3 deep, and duplicate keys."""
+    space = functools.partial(draw, _SPACES)
+    kind = draw(st.sampled_from(kinds if depth < 4 else ["scalar"]))
+    if kind == "scalar":
+        return draw(st.one_of(_NUMBERS, st.sampled_from(["true", "false", "null"]), _json_string()))
+    if kind == "list":
+        items = draw(st.lists(_json_text(depth + 1), max_size=4))
+        return "[" + space() + ",".join(f"{space()}{item}{space()}" for item in items) + space() + "]"
+    keys = draw(st.lists(st.sampled_from(['"a"', '"b"', '"queries"']) | _json_string(), max_size=5))
+    members = [f"{space()}{key}{space()}:{space()}{draw(_json_text(depth + 1))}{space()}" for key in keys]
+    return "{" + space() + ",".join(members) + space() + "}"
+
+
+@st.composite
+def _fixture_text(draw):
+    """A top-level object whose last member is an object, as in a fixture-search file, and
+    the length in bytes of the text up to that object's "{"."""
+    space = functools.partial(draw, _SPACES)
+    before = draw(st.lists(st.sampled_from(['"format": "fixture-search.v1"', '"queries": [1.5, null]', '"n": -7']), max_size=2))
+    key = draw(st.sampled_from(['"queries"', '"qu\\u00e9ries"', '"a\\"b"']))
+    head = "{" + space() + "".join(f"{member},{space()}" for member in before) + f"{key}{space()}:{space()}"
+    return head + draw(_json_text(1, ["object"])) + space() + "}", len(head.encode("utf-8")) + 1
+
+
+def _today(path):
+    """How a fixture-search file was read before ``jsonio.load``."""
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def _outcome(read, path):
+    try:
+        return repr(read(path))  # repr: NaN equals itself, and 1 differs from 1.0
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _load_in_chunks(path, chunk):
+    with mock.patch.object(Path, "read_text", side_effect=AssertionError("fixture text was handed to json.loads")):
+        return jsonio.load(path, chunk)
+
+
+@given(_json_text(), st.integers(1, 64) | st.just(jsonio.LOAD_CHUNK_BYTES))
+def test_load_equals_json_loads(tmp_path_factory, text, chunk):
+    path = tmp_path_factory.getbasetemp() / "load.json"  # examples run one at a time
+    path.write_bytes(text.encode("utf-8"))
+    assert repr(jsonio.load(path, chunk)) == repr(json.loads(text))
+
+
+@given(_fixture_text(), st.data())
+def test_fixture_text_is_decoded_in_chunks(tmp_path_factory, fixture, data):
+    text, head = fixture
+    chunk = data.draw(st.integers(head, head + 64) | st.just(jsonio.LOAD_CHUNK_BYTES))
+    path = tmp_path_factory.getbasetemp() / "load.json"  # examples run one at a time
+    path.write_bytes(text.encode("utf-8"))
+    assert repr(_load_in_chunks(path, chunk)) == repr(json.loads(text))
+
+
+@given(_fixture_text(), st.data())
+def test_broken_text_fails_as_before(tmp_path_factory, fixture, data):
+    raw = fixture[0].encode("utf-8")
+    chunk = data.draw(st.integers(1, fixture[1] + 64) | st.just(jsonio.LOAD_CHUNK_BYTES))
+    cut = data.draw(st.integers(0, len(raw)))
+    raw = raw[:cut] + data.draw(st.sampled_from([b"", b"x", b"}", b",", b'"', b"\xff", b"\xc3"])) + raw[cut + 1 :]
+    path = tmp_path_factory.getbasetemp() / "load.json"  # examples run one at a time
+    path.write_bytes(raw)
+    assert _outcome(functools.partial(jsonio.load, chunk_bytes=chunk), path) == _outcome(_today, path)
+
+
+@pytest.mark.parametrize("chunk", [*range(7, 25), jsonio.LOAD_CHUNK_BYTES])
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Numbers that straddle a chunk edge.
+        *(
+            f'{{"q": {{"a": [{n}], "b": {{"c": [{n}, {n}]}}, "d": [{n}]}}}}'
+            for n in ["123456789", "-12.5e+10", "-Infinity", "NaN"]
+        ),
+        # Strings that look like cuts.
+        '{"q": {"k": ["x],", "y},"], "z": {"w": "] , "}, "r": {}}}',
+        '{"q": {"a": ["], \\"b\\": ["], "b": [{"c": "}, \\"d\\""}], "e": {}}}',
+        '{"q": {"a": [1], "b": "x] , "}}',
+        '{"q": {}}',
+        '{"f": "x, \\"q\\": {", "q": {"a": [1]}}',
+    ],
+)
+def test_fixture_text_at_chunk_edges(tmp_path, chunk, text):
+    (tmp_path / "doc.json").write_text(text, encoding="utf-8")
+    head = text.index("{", text.index('"q":')) + 1
+    assert repr(_load_in_chunks(tmp_path / "doc.json", max(chunk, head))) == repr(json.loads(text))
+
+
+def test_a_long_member_is_read_in_few_chunks():
+    # Each read takes as much again as is left undecoded, so a member is decoded O(log size) times.
+    class Counted(io.BytesIO):
+        reads = 0
+
+        def read(self, size=-1):
+            self.reads += 1
+            return super().read(size)
+
+    text = json.dumps({"q": {"a": ["x" * 100_000], "b": ["y" * 100_000]}})
+    handle = Counted(text.encode("utf-8"))
+    assert jsonio._load_last_member_in_runs(handle, 64) == json.loads(text)
+    assert handle.reads < 40
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, jsonio.LOAD_CHUNK_BYTES])
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{1: 2}',
+        '{"a": 1,}',
+        '{"a": {"b": [1],, "c": [2]}}',
+        '{"a": {"b": [1], }, "c": [2]}',
+        '{"a": {, "b": [1]}}',
+        '{"a": {"b": [1]}}}',
+        '{"q": {"a": [1]}, "r": [2]}}',
+        '{"a": {"b": [1], "c": [2]}',
+        '{"a" 1}',
+        '{"a": 1} x',
+        '{"a": -12.}',
+        '[1, 2,]',
+        "",
+        '\ufeff{"a": 1}',
+    ],
+)
+def test_invalid_text_fails_as_before(tmp_path, chunk, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(functools.partial(jsonio.load, chunk_bytes=chunk), path) == _outcome(_today, path)
+    assert _outcome(_today, path).startswith("JSONDecodeError")
+
+
+@pytest.fixture(scope="module")
+def big_fixture(tmp_path_factory):
+    """A fixture-search file of about 8 MB, shaped like the ones the benchmark writes."""
+    body = 'Body text, with commas, ], "quotes" and more. ' * 8
+    results = [
+        {"body": body, "domain": "example.com", "published": None, "title": f"T {j}", "url": f"https://example.com/{j}"}
+        for j in range(4)
+    ]
+    queries = {f"query number {i} " + "word " * 30: results for i in range(4000)}
+    path = tmp_path_factory.mktemp("big") / "search.json"
+    path.write_text(json.dumps({"format": "fixture-search.v1", "queries": queries}, sort_keys=True), encoding="utf-8")
+    assert path.stat().st_size > 7 * jsonio.LOAD_CHUNK_BYTES
+    return path
+
+
+def test_load_holds_about_one_chunk_of_text(big_fixture):
+    tracemalloc.start()
+    try:
+        value = jsonio.load(big_fixture)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == _today(big_fixture)
+    # json.loads of the whole text would peak about 8 MB above what it keeps.
+    assert peak - kept <= 3 * jsonio.LOAD_CHUNK_BYTES
+
+
+def test_load_shares_key_strings(big_fixture):
+    results = [result for entries in jsonio.load(big_fixture)["queries"].values() for result in entries]
+    assert len(results) == 16000
+    # json.loads shares each key string across the file; a decoded run shares them across the run.
+    runs = big_fixture.stat().st_size // jsonio.LOAD_CHUNK_BYTES + 2
+    assert len({id(key) for result in results for key in result}) <= 5 * runs

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from claimcheck.errors import (
     ConfigError,
@@ -16,6 +18,18 @@ from claimcheck.providers import (
 )
 
 API_ENV = "CLAIMCHECK_SEARCH_API_KEY"
+
+
+def _normalized_by_key(mapping):
+    """The fixture mapping as each key normalized on its own gives it, or that rule's collision error."""
+    normalized = {normalize_query_key(key): value for key, value in mapping.items()}
+    if len(normalized) < len(mapping):
+        groups = {}
+        for key in mapping:
+            groups.setdefault(normalize_query_key(key), []).append(key)
+        collisions = "; ".join(", ".join(map(repr, keys)) for keys in groups.values() if len(keys) > 1)
+        raise ConfigError(f"fixture search queries collide after normalization: {collisions}")
+    return normalized
 
 
 def test_normalize_query_key():
@@ -52,6 +66,50 @@ class TestFixtureProvider:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ConfigError, match=r"fixture\.json.*'A query', 'a QUERY'"):
             FixtureSearchProvider.from_file(path)
+
+    @pytest.mark.parametrize("keep", [0, 1, 40, 75, -2, -1])
+    def test_truncated_file_keeps_its_message(self, tmp_path, keep):
+        path = tmp_path / "fixture.json"
+        text = json.dumps({"format": "fixture-search.v1", "queries": {"a query": [{"url": "https://a.example.com"}]}})
+        path.write_text(text[:keep], encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text[:keep])
+        with pytest.raises(ConfigError) as excinfo:
+            FixtureSearchProvider.from_file(path)
+        assert str(excinfo.value) == f"cannot load fixture search file {path}: {expected.value}"
+
+    def test_non_utf8_file_is_a_config_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "fixture.json"
+        text = json.dumps({"format": "fixture-search.v1", "queries": {"a query": [{"url": "https://a.example.com"}]}})
+        offset = text.index("example")
+        path.write_bytes(text[:offset].encode("utf-8") + b"\xff" + text[offset:].encode("utf-8"))
+        with pytest.raises(ConfigError) as excinfo:
+            FixtureSearchProvider.from_file(path)
+        assert str(excinfo.value) == (
+            f"cannot load fixture search file {path}: "
+            f"'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte"
+        )
+
+    def test_normalized_keys_are_kept_as_they_are(self):
+        mapping = {"a query": [], "another query 2": [], "café ünïcode": []}
+        assert FixtureSearchProvider(mapping)._mapping is mapping
+
+    @given(st.lists(st.text(st.sampled_from("aB \t\x1c\xa0éΣςİ\u2028"), max_size=5), max_size=5))
+    @example(["Upper Case query", "plain query"])
+    @example(["double  space", " leading space", "trailing space "])
+    @example(["tab\tinside", "group\x1cseparator", "no\xa0break", "line\u2028separator", "next\x85line"])
+    @example(["ΣΟΦΊΑ", "ὈΔΥΣΣΕΎΣ", "İstanbul", "", "empty key beside"])
+    @example(["Foo bar", "foo  bar", "FOO BAR "])
+    def test_keys_match_the_per_key_rule(self, keys):
+        mapping = {key: [{"url": f"https://{i}.example.com"}] for i, key in enumerate(keys)}
+        try:
+            expected = list(_normalized_by_key(mapping).items())
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as excinfo:
+                FixtureSearchProvider(mapping)
+            assert str(excinfo.value) == str(exc)
+        else:
+            assert list(FixtureSearchProvider(mapping)._mapping.items()) == expected
 
     def test_domain_derived_from_url_when_missing(self):
         provider = FixtureSearchProvider({"q": [{"url": "https://news.site.org/a"}]})
