@@ -1,8 +1,9 @@
-"""Rank article sentences against an internal signal; pick check-worthy ones.
+"""Rank article sentences against an internal signal.
 
 The signal is text the article already contains (its headline) or text
 derived from it (a generated summary). Sentences close to the signal in
-embedding space are treated as the article's check-worthy claims.
+embedding space are treated as the article's check-worthy claims: the
+pipeline joins the first ``claims_k`` of a ranking into its claim.
 """
 
 from __future__ import annotations
@@ -32,32 +33,18 @@ class InternalSignal:
             raise ValueError("internal signal text must be non-empty")
 
 
-@dataclass(frozen=True)
-class RankedSentence:
-    """A body sentence with its distance to the signal and resulting rank."""
-
-    index: int  # 0-based position in the article body
-    text: str
-    distance: float
-    rank: int  # 1 = closest to the signal
-
-
-@dataclass(frozen=True)
-class ClaimSet:
-    sentences: tuple[RankedSentence, ...]
-    concatenated: str
-
-
 def rank_sentences(
     article_body: str,
     signal: InternalSignal,
     backend: EncoderBackend,
     abbreviations: frozenset[str] | None = None,
-) -> list[RankedSentence]:
+) -> tuple[list[str], tuple[int, ...], tuple[float, ...]]:
     """Order body sentences by ascending cosine distance to the signal.
 
-    Ties break by original position, so runs are reproducible. Every body
-    sentence appears exactly once. This is ``rank_block`` for one article.
+    Returns ``(sentences, ranked, distances)``: the body's ``split_sentences``
+    list, every sentence's index in it closest first, and their distances in
+    the same order. Ties break by original position, so runs are
+    reproducible. This is ``rank_block`` for one article.
     """
     return unwrap(rank_block([article_body], [signal], backend, abbreviations)[0])
 
@@ -90,20 +77,8 @@ def rank_block(
         elif not ok:
             results[i] = EncodeError(NO_TOKENS)
         else:
-            # Positions are unique, so the text never decides the order.
-            scored = sorted(zip(cosine_distance(*pair), range(len(sentences)), sentences))
-            results[i] = [
-                RankedSentence(index=index, text=text, distance=distance, rank=rank)
-                for rank, (distance, index, text) in enumerate(scored, start=1)
-            ]
+            # (distance, position) pairs, so ties break by position.
+            distances, ranked = zip(*sorted(zip(cosine_distance(*pair), range(len(sentences)))))
+            results[i] = sentences, ranked, distances
     return results
 
-
-def select_claims(ranked: list[RankedSentence], k: int = 3) -> ClaimSet:
-    """Keep the top ``min(k, len(ranked))`` sentences, joined in rank order."""
-    if not ranked:
-        raise ValueError("cannot select claims from an empty ranking")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    top = tuple(ranked[:k])
-    return ClaimSet(sentences=top, concatenated=" ".join(s.text for s in top))

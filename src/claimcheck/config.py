@@ -98,7 +98,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
 def load_config(path: str | Path) -> PipelineConfig:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc

@@ -144,25 +144,28 @@ def ingest(
     result = IngestResult(articles=[])
     seen_ids: set[str] = set()
     with handle:
-        for line_no, row in _read_csv(handle) if fmt == "csv" else _read_jsonl(handle):
-            result.rows_read += 1
-            if isinstance(row, str):  # parse failure, message in the row slot
-                result.skipped_malformed += 1
-                result.warnings.append(f"row {line_no}: {row}")
-                continue
-            try:
-                article = _row_to_article(row, dataset)
-            except ValueError as exc:
-                result.skipped_malformed += 1
-                result.warnings.append(f"row {line_no}: {exc}")
-                continue
-            if not article.headline.strip() or not article.body.strip():
-                result.dropped_empty += 1
-                continue
-            if article.id in seen_ids:
-                raise IngestError(f"duplicate article id {article.id!r} at row {line_no}")
-            seen_ids.add(article.id)
-            result.articles.append(article)
+        try:
+            for line_no, row in _read_csv(handle) if fmt == "csv" else _read_jsonl(handle):
+                result.rows_read += 1
+                if isinstance(row, str):  # parse failure, message in the row slot
+                    result.skipped_malformed += 1
+                    result.warnings.append(f"row {line_no}: {row}")
+                    continue
+                try:
+                    article = _row_to_article(row, dataset)
+                except ValueError as exc:
+                    result.skipped_malformed += 1
+                    result.warnings.append(f"row {line_no}: {exc}")
+                    continue
+                if not article.headline.strip() or not article.body.strip():
+                    result.dropped_empty += 1
+                    continue
+                if article.id in seen_ids:
+                    raise IngestError(f"duplicate article id {article.id!r} at row {line_no}")
+                seen_ids.add(article.id)
+                result.articles.append(article)
+        except UnicodeDecodeError as exc:  # raised while reading, so no row number
+            raise IngestError(f"cannot read corpus file {path}: {exc}") from exc
 
     for message in result.warnings:
         logger.warning("ingest %s: %s", path.name, message)

@@ -94,24 +94,17 @@ class HashedFeaturizer:
 class EncoderBackend(ABC):
     """Text-to-vector backend.
 
-    Implementations must be deterministic for a fixed configuration and
-    must always return unit-norm vectors of ``dimension`` entries. Row ``i``
-    of ``encode_batch(texts)`` must equal ``encode(texts[i])``; the default
-    stacks ``encode``, and a backend overrides it when a batch is cheaper.
+    Implementations must be deterministic for a fixed configuration, and
+    row ``i`` of a batch must depend on ``texts[i]`` alone: encoding a text
+    in any batch gives the same unit-norm row of ``dimension`` entries.
     """
 
     name: str
     dimension: int
 
     @abstractmethod
-    def encode(self, text: str) -> Embedding:
-        """Encode non-empty text into a unit-norm vector."""
-
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
-        """Encode texts into an ``(n, dimension)`` matrix; row ``i`` is ``encode(texts[i])``."""
-        if not texts:
-            return np.zeros((0, self.dimension))
-        return np.stack([self.encode(text) for text in texts])
+        """Encode texts with tokens into an ``(n, dimension)`` matrix of unit-norm rows."""
 
 
 class HashedBagEncoder(EncoderBackend):
@@ -131,9 +124,6 @@ class HashedBagEncoder(EncoderBackend):
         self.seed = int(seed)
         self._featurizer = HashedFeaturizer(self.dimension, self.seed)
 
-    def encode(self, text: str) -> Embedding:
-        return self.encode_batch([text])[0]
-
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
         token_lists = [tokenize(text) for text in texts]
         if not all(token_lists):
@@ -143,7 +133,7 @@ class HashedBagEncoder(EncoderBackend):
 
 def reference_encode(text: str, dimension: int = 256, seed: int = 0) -> Embedding:
     """Encode ``text`` with a hashed bag-of-tokens encoder built on the spot."""
-    return HashedBagEncoder(dimension=dimension, seed=seed).encode(text)
+    return HashedBagEncoder(dimension=dimension, seed=seed).encode_batch([text])[0]
 
 
 def _fault(backend: EncoderBackend, array: np.ndarray, shape: tuple[int, ...]) -> EncodeError | None:
@@ -160,20 +150,23 @@ def _fault(backend: EncoderBackend, array: np.ndarray, shape: tuple[int, ...]) -
 def encode(backend: EncoderBackend, text: str) -> Embedding:
     """Encode ``text`` with ``backend`` and enforce the embedding contract.
 
-    Raises EncodeError when the text has no tokens or when the backend
-    returns a vector of the wrong shape, with non-finite entries, or with a
-    norm off unit by more than 1e-9.
+    Raises EncodeError when the text has no tokens or when the backend's
+    ``encode_batch([text])`` is not one row, or its row has the wrong shape,
+    non-finite entries, or a norm off unit by more than 1e-9.
     """
     if not has_tokens(text):
         raise EncodeError(NO_TOKENS)
-    vector = np.asarray(backend.encode(text), dtype=np.float64)
-    if (fault := _fault(backend, vector, (backend.dimension,))) is not None:
+    rows = np.asarray(backend.encode_batch([text]), dtype=np.float64)
+    if rows.ndim != 2 or len(rows) != 1:
+        raise _fault(backend, rows, (1, backend.dimension))
+    # The row is checked as a vector, as ``encode_pairs`` checks a bad entry's head.
+    if (fault := _fault(backend, rows[0], (backend.dimension,))) is not None:
         raise fault
-    return vector
+    return rows[0]
 
 
 def encode_batch(backend: EncoderBackend, texts: Sequence[str]) -> np.ndarray:
-    """Encode ``texts`` into an ``(n, dimension)`` matrix under the ``encode`` contract.
+    """Encode ``texts`` into an ``(n, dimension)`` matrix under the embedding contract.
 
     The contract is checked once for the whole matrix; any text without
     tokens fails the batch.
@@ -216,7 +209,7 @@ def encode_pairs(backend: EncoderBackend, heads: Sequence[str], tails: Sequence[
 def cosine_distance(a: Embedding, b: Embedding) -> float | list[float]:
     """Return ``1 - dot(a, b)``, clamped to [0, 2] against rounding noise.
 
-    Inputs are assumed unit-norm (the ``encode`` contract); under that
+    Inputs are assumed unit-norm (the embedding contract); under that
     assumption 0 means identical direction and 2 means antipodal. A matrix
     ``b`` gives one distance per row, each from its own ``np.dot``, so a
     row's distance is bit-identical to passing that row alone.

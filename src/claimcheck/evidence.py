@@ -20,7 +20,7 @@ from .corpus import Article
 from .encode import NO_TOKENS, EncoderBackend, cosine_distance, encode_pairs
 from .encode import encode  # noqa: F401  (unused; perfbench's tracer wraps ``evidence.encode``)
 from .errors import ConfigError, EncodeError, FatalSearchError, unwrap
-from .textproc import has_tokens, split_sentences
+from .textproc import has_tokens, list_entries, split_sentences
 
 logger = logging.getLogger(__name__)
 
@@ -165,16 +165,12 @@ class CredibleDomainList:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CredibleDomainList":
-        """One domain per line; ``#`` starts a comment. Entries should be
+        """One domain per line (see ``list_entries``). Entries should be
         registrable domains (no scheme, no path)."""
-        domains = set()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            entry = line.split("#", 1)[0].strip().lower()
-            if not entry:
-                continue
+        domains = list_entries(path)
+        for entry in domains:
             if "/" in entry or ":" in entry:
                 raise ConfigError(f"credible-list entry {entry!r} carries a scheme or path")
-            domains.add(entry)
         return cls(domains=frozenset(domains))
 
 

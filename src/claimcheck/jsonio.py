@@ -149,15 +149,18 @@ class Codec:
     def read_lines(self, cls: type, path: str | Path, label: str, error: type[Exception] = ValueError) -> list:
         """Decode each non-blank line of ``path``; a bad line raises ``error``."""
         decode, objs = self.plan(cls), []
-        with open(path, encoding="utf-8") as lines:  # not str.splitlines(): JSON strings may hold U+2028
-            for line_no, line in enumerate(lines, 1):
-                if line.strip():
-                    try:
-                        objs.append(decode(json.loads(line)))
-                    except json.JSONDecodeError as exc:
-                        raise error(f"{label} line {line_no}: invalid JSON ({exc.msg})") from None
-                    except (TypeError, ValueError) as exc:
-                        raise error(f"{label} line {line_no}: {_describe(exc, label)}") from None
+        try:
+            with open(path, encoding="utf-8") as lines:  # not str.splitlines(): JSON strings may hold U+2028
+                for line_no, line in enumerate(lines, 1):
+                    if line.strip():
+                        try:
+                            objs.append(decode(json.loads(line)))
+                        except json.JSONDecodeError as exc:
+                            raise error(f"{label} line {line_no}: invalid JSON ({exc.msg})") from None
+                        except (TypeError, ValueError) as exc:
+                            raise error(f"{label} line {line_no}: {_describe(exc, label)}") from None
+        except UnicodeDecodeError as exc:  # raised while reading, so no line number
+            raise error(f"cannot read {label} file {path}: {exc}") from None
         return objs
 
     def _encoder_for(self, cls: type) -> Callable[[Any], Any]:

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import jsonio
-from .claimrank import InternalSignal, RankedSentence, SignalKind, rank_block, select_claims
+from .claimrank import InternalSignal, SignalKind, rank_block
 from .config import (
     PipelineConfig,
     build_encoder,
@@ -94,10 +94,12 @@ def build_runtime(config: PipelineConfig, provider: SearchProvider | None = None
 
 @dataclass(frozen=True)
 class StageOutputs:
-    """Signal, ranking, claims, and query for one article under one variant."""
+    """Signal, ranking, claim, and query for one article under one variant;
+    ``ranked`` and ``distances`` are as in ``PipelineRecord``."""
 
     signal: InternalSignal
-    ranked: tuple[RankedSentence, ...] | None  # None for p3
+    ranked: tuple[int, ...] | None  # None for p3
+    distances: tuple[float, ...] | None
     claim: str
     query: Query
 
@@ -131,14 +133,15 @@ def _signal(article: Article, variant: PipelineVariant, summarizer: SummarizerBa
 
 
 def _stages(
-    article: Article, signal: InternalSignal, summary: str | None, ranked: list | None, config: PipelineConfig
+    article: Article, signal: InternalSignal, summary: str | None, ranking: tuple | None, config: PipelineConfig
 ) -> StageOutputs:
-    if ranked is None:  # p3: no per-sentence ranking, the gist itself goes downstream
+    if ranking is None:  # p3: no per-sentence ranking, the gist itself goes downstream
         query = build_query(article.headline, summary, config.query_word_limit)
-        return StageOutputs(signal=signal, ranked=None, claim=signal.text, query=query)
-    claim = select_claims(ranked, config.claims_k).concatenated
+        return StageOutputs(signal=signal, ranked=None, distances=None, claim=signal.text, query=query)
+    sentences, ranked, distances = ranking
+    claim = " ".join([sentences[i] for i in ranked[: config.claims_k]])
     query = build_query(article.headline, claim, config.query_word_limit)
-    return StageOutputs(signal=signal, ranked=tuple(ranked), claim=claim, query=query)
+    return StageOutputs(signal=signal, ranked=ranked, distances=distances, claim=claim, query=query)
 
 
 def _derive_block(articles: Sequence[Article], variant: PipelineVariant, runtime: PipelineRuntime) -> list:
@@ -148,11 +151,11 @@ def _derive_block(articles: Sequence[Article], variant: PipelineVariant, runtime
     if variant is not PipelineVariant.P3_HEADLINE_PLUS_SUMMARY:
         ok = [i for i, gist in enumerate(gists) if not _failed(gist)]
         bodies, signals = [articles[i].body for i in ok], [gists[i][0] for i in ok]
-        for i, ranked in zip(ok, rank_block(bodies, signals, runtime.encoder, runtime.abbreviations)):
-            rankings[i] = ranked
+        for i, ranking in zip(ok, rank_block(bodies, signals, runtime.encoder, runtime.abbreviations)):
+            rankings[i] = ranking
     return [
-        _failed(gist, ranked) or _attempt(_stages, article, *gist, ranked, runtime.config)
-        for article, gist, ranked in zip(articles, gists, rankings)
+        _failed(gist, ranking) or _attempt(_stages, article, *gist, ranking, runtime.config)
+        for article, gist, ranking in zip(articles, gists, rankings)
     ]
 
 
@@ -215,8 +218,16 @@ def _nested_evidence_article(flat: dict) -> dict:
 
 
 @dataclass(frozen=True)
+class _RankedSentence:  # one entry of a v1 ranking: v1 stored each ranked sentence's text
+    index: int
+    text: str
+    distance: float
+    rank: int
+
+
+@dataclass(frozen=True)
 class _V1Ranking:  # a v1 line's ranking, read with v1's errors; a "distances" key is unknown in v1
-    ranked: tuple[RankedSentence, ...] | None = None
+    ranked: tuple[_RankedSentence, ...] | None = None
 
 
 def _upgraded(data):
@@ -266,9 +277,8 @@ def _record(article: Article, stages, evidence, variant: PipelineVariant, timing
     record.timings.update(timings)
     if not _failed(stages):
         record.signal_kind, record.signal_text = stages.signal.kind.value, stages.signal.text
+        record.ranked, record.distances = stages.ranked, stages.distances
         record.claim, record.query = stages.claim, stages.query.text
-        if stages.ranked is not None:
-            record.ranked, record.distances = zip(*[(s.index, s.distance) for s in stages.ranked])
     error = _failed(evidence)  # a failed article's stage error is its evidence entry too
     if error is None:
         record.evidence = evidence

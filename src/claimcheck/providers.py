@@ -153,7 +153,7 @@ class ResponseCache:
             return None
         try:
             return json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FatalSearchError(f"corrupt cache entry {path}: {exc}") from exc
 
     def put(self, key: str, payload: list[dict]) -> None:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
+from .errors import ConfigError
+
 TokenSeq = list[str]
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -51,14 +53,25 @@ def has_tokens(text: str) -> bool:
     return _TOKEN_RE.search(text) is not None
 
 
+def list_entries(path: str | Path) -> list[str]:
+    """The lowercased entries of a one-entry-per-line file, in file order;
+    blank lines and ``#`` comments are skipped.
+
+    Lines end at line ends only, not at every character that
+    ``str.splitlines`` splits at (U+0085, U+2028, ...). A file that is not
+    UTF-8 is a ConfigError naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as lines:
+            entries = [line.split("#", 1)[0].strip().lower() for line in lines]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read list file {path}: {exc}") from None
+    return [entry for entry in entries if entry]
+
+
 def load_abbreviations(path: str | Path) -> frozenset[str]:
-    """Load one abbreviation per line; blank lines and ``#`` comments skipped."""
-    entries = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        entry = line.split("#", 1)[0].strip().lower().rstrip(".")
-        if entry:
-            entries.add(entry)
-    return frozenset(entries)
+    """Load one abbreviation per line (see ``list_entries``); a trailing period is dropped."""
+    return frozenset(filter(None, (entry.rstrip(".") for entry in list_entries(path))))
 
 
 def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> list[str]:

@@ -221,7 +221,7 @@ class HashedLinearClassifier:
     def load(cls, path: str | Path) -> "HashedLinearClassifier":
         try:
             snapshot = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load classifier snapshot {path}: {exc}") from exc
         if not isinstance(snapshot, dict) or snapshot.get("format") != SNAPSHOT_FORMAT:
             raise ConfigError(f"snapshot {path} is not in {SNAPSHOT_FORMAT!r} format")

@@ -209,3 +209,10 @@ def test_malformed_fixture_search_file_is_an_error(tmp_path, capsys, queries):
     config.write_text(json.dumps({"provider": {"fixture_path": str(search)}}), encoding="utf-8")
     assert main(["run", "--pipeline", "p1", "--config", str(config), "--out", str(tmp_path / "r.jsonl")]) == 1
     assert f"error: fixture search file {search}" in capsys.readouterr().err
+
+
+def test_non_utf8_config_is_an_error_naming_the_file(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"claims_k": 3}\xff\n')
+    assert main(["run", "--pipeline", "p1", "--config", str(config), "--out", str(tmp_path / "r.jsonl")]) == 1
+    assert f"error: cannot read config file {config}" in capsys.readouterr().err

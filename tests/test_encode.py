@@ -33,21 +33,26 @@ def backend():
     return HashedBagEncoder(dimension=64, seed=0)
 
 
+def _row(backend, text):
+    """The backend's unchecked row for one text."""
+    return backend.encode_batch([text])[0]
+
+
 class TestHashedBagEncoder:
     def test_deterministic(self, backend):
-        first = backend.encode("the same text twice")
-        second = backend.encode("the same text twice")
+        first = _row(backend, "the same text twice")
+        second = _row(backend, "the same text twice")
         assert np.array_equal(first, second)
 
     def test_unit_norm(self, backend):
-        vec = backend.encode("a handful of ordinary tokens here")
+        vec = _row(backend, "a handful of ordinary tokens here")
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-9
 
     def test_count_scaling_is_removed(self, backend):
         # "a b" and "a b a b" point in exactly the same direction.
-        d = cosine_distance(backend.encode("a b"), backend.encode("a b a b"))
+        d = cosine_distance(_row(backend, "a b"), _row(backend, "a b a b"))
         assert d == pytest.approx(0.0, abs=1e-12)
-        assert cosine_distance(backend.encode("a"), backend.encode("a a a")) == pytest.approx(
+        assert cosine_distance(_row(backend, "a"), _row(backend, "a a a")) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -57,13 +62,13 @@ class TestHashedBagEncoder:
         b_alpha = stable_bucket("alpha", backend.seed, backend.dimension)
         b_bravo = stable_bucket("bravo", backend.seed, backend.dimension)
         assert b_alpha != b_bravo
-        d = cosine_distance(backend.encode("alpha"), backend.encode("bravo"))
+        d = cosine_distance(_row(backend, "alpha"), _row(backend, "bravo"))
         assert d == pytest.approx(1.0, abs=1e-12)
 
     def test_no_tokens_is_an_error(self, backend):
         for text in ("", "   ", "..,!?"):
             with pytest.raises(EncodeError):
-                backend.encode(text)
+                backend.encode_batch([text])
 
     def test_dimension_floor(self):
         with pytest.raises(ValueError):
@@ -111,8 +116,8 @@ class TestEncodeContract:
             name = "broken"
             dimension = 8
 
-            def encode(self, text):
-                return np.ones(8)
+            def encode_batch(self, texts):
+                return np.ones((len(texts), 8))
 
         with pytest.raises(EncodeError, match="non-unit"):
             encode(Broken(), "text")
@@ -122,11 +127,23 @@ class TestEncodeContract:
             name = "short"
             dimension = 8
 
-            def encode(self, text):
-                return l2_normalize(np.ones(4))
+            def encode_batch(self, texts):
+                return np.stack([l2_normalize(np.ones(4))] * len(texts))
 
-        with pytest.raises(EncodeError, match="shape"):
+        with pytest.raises(EncodeError, match=r"shape \(4,\), expected \(8,\)"):
             encode(Short(), "text")
+
+    @pytest.mark.parametrize("rows", [np.zeros((0, 8)), np.ones((2, 8)) / np.sqrt(8), np.ones(8) / np.sqrt(8)])
+    def test_one_row_per_text(self, rows):
+        class Miscounted(EncoderBackend):
+            name = "miscounted"
+            dimension = 8
+
+            def encode_batch(self, texts):
+                return rows
+
+        with pytest.raises(EncodeError, match=r"expected \(1, 8\)"):
+            encode(Miscounted(), "text")
 
 
 # (seed, dimension) pairs; each gets its own bucket table.
@@ -196,29 +213,17 @@ class TestBatchedEncoding:
         with pytest.raises(EncodeError, match="no tokens"):
             backend.encode_batch(["fine", "..."])
 
-    def test_default_batch_stacks_encode(self):
-        class Stub(EncoderBackend):
-            name = "stub"
-            dimension = 8
-
-            def encode(self, text):
-                return l2_normalize(np.arange(1.0, 9.0) + len(text))
-
-        matrix = encode_batch(Stub(), ["a", "bbb"])
-        assert np.array_equal(matrix, np.stack([Stub().encode("a"), Stub().encode("bbb")]))
-        assert encode_batch(Stub(), []).shape == (0, 8)
-
     @pytest.mark.parametrize(
         "vector,message",
         [(np.ones(8), "non-unit"), (l2_normalize(np.ones(4)), "shape"), (np.full(8, np.nan), "non-finite")],
     )
-    def test_default_batch_is_checked(self, vector, message):
+    def test_a_bad_batch_is_rejected(self, vector, message):
         class Broken(EncoderBackend):
             name = "broken"
             dimension = 8
 
-            def encode(self, text):
-                return vector
+            def encode_batch(self, texts):
+                return np.stack([vector] * len(texts))
 
         with pytest.raises(EncodeError, match=message):
             encode_batch(Broken(), ["text", "more"])
@@ -285,7 +290,7 @@ class TestEncodePairs:
 
 class TestCosineDistance:
     def test_matrix_gives_the_per_row_distances(self, backend):
-        signal = backend.encode("alpha bravo charlie")
+        signal = _row(backend, "alpha bravo charlie")
         matrix = backend.encode_batch(["alpha", "bravo delta", "echo", "alpha bravo charlie"])
         assert cosine_distance(signal, matrix) == [cosine_distance(signal, row.copy()) for row in matrix]
 
@@ -314,8 +319,8 @@ class TestCosineDistance:
             cosine_distance(np.ones(3), np.ones(4))
 
     def test_symmetry(self, backend):
-        a = backend.encode("first text sample")
-        b = backend.encode("second text sample")
+        a = _row(backend, "first text sample")
+        b = _row(backend, "second text sample")
         assert cosine_distance(a, b) == cosine_distance(b, a)
 
 

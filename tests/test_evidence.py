@@ -146,6 +146,13 @@ class TestIsCredible:
         allowlist = CredibleDomainList.from_file(path)
         assert allowlist.domains == frozenset({"example.com", "bbc.co.uk"})
 
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\x1c"])
+    def test_from_file_splits_at_line_ends_only(self, tmp_path, separator):
+        path = tmp_path / "domains.txt"
+        path.write_text(f"bbc.co.uk\r\nreuters.com\rexample.com{separator}npr.org\n", encoding="utf-8")
+        allowlist = CredibleDomainList.from_file(path)
+        assert allowlist.domains == frozenset({"bbc.co.uk", "reuters.com", f"example.com{separator}npr.org"})
+
     def test_from_file_rejects_scheme(self, tmp_path):
         path = tmp_path / "domains.txt"
         path.write_text("https://example.com\n", encoding="utf-8")

@@ -78,8 +78,10 @@ class TestRunPipeline:
             assert record.claim == " ".join(claims)
             signal = claimrank.InternalSignal(claimrank.SignalKind(record.signal_kind), record.signal_text)
             alone = claimrank.rank_sentences(article.body, signal, runtime.encoder, runtime.abbreviations)
-            assert record.ranked == tuple(r.index for r in alone)
-            assert [d.hex() for d in record.distances] == [r.distance.hex() for r in alone]  # bit-equal
+            assert alone[0] == sentences
+            ranked, distances = alone[1:]
+            assert record.ranked == ranked
+            assert [d.hex() for d in record.distances] == [d.hex() for d in distances]  # bit-equal
 
     def test_p3_has_no_ranking_and_uses_gist_directly(self, fixture_articles, runtime, records_by_variant):
         headlines = {a.id: a.headline for a in fixture_articles}

@@ -144,6 +144,12 @@ class TestSplitSentences:
         # "Dr" is not in the custom guard, so it splits there.
         assert split_sentences("Dr. Smith spoke.", guard) == ["Dr.", "Smith spoke."]
 
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\x1c"])
+    def test_guard_list_splits_at_line_ends_only(self, tmp_path, separator):
+        path = tmp_path / "abbrev.txt"
+        path.write_text(f"fig.\r\nca\rdr{separator}xyz\n", encoding="utf-8")
+        assert load_abbreviations(path) == frozenset({"fig", "ca", f"dr{separator}xyz"})
+
     def test_empty_word_guard_blocks_periods_after_non_letters(self):
         assert split_sentences("2017. The end. A", frozenset({""})) == ["2017. The end.", "A"]
 
