@@ -33,6 +33,7 @@ from claimcheck.config import PipelineConfig, load_credible_list  # noqa: E402
 from claimcheck.corpus import DatasetKind, ingest, normalize_articles  # noqa: E402
 from claimcheck.encode import reference_encode  # noqa: E402
 from claimcheck.evidence import date_window, is_credible  # noqa: E402
+from claimcheck.jsonio import parse_date  # noqa: E402
 from claimcheck.pipeline import PipelineVariant, build_runtime, derive_stages  # noqa: E402
 from claimcheck.providers import FixtureSearchProvider, normalize_query_key  # noqa: E402
 
@@ -179,8 +180,6 @@ def _all_filtered_results(article, variant: PipelineVariant, rng: random.Random)
 
 
 def build_search_fixture() -> dict:
-    from datetime import date as _date
-
     articles = normalize_articles(
         ingest(fixtures.fixture_corpus_path(), DatasetKind.FIXTURE).articles
     ).articles
@@ -203,7 +202,7 @@ def build_search_fixture() -> dict:
             return False
         if article.published is None:
             return True
-        return date_window(article.published, _date.fromisoformat(item["published"]))
+        return date_window(article.published, parse_date(item["published"]))
 
     def usable(article, key) -> bool:
         return any(survives(article, item) for item in mapping.get(key, []))

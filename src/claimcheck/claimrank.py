@@ -3,13 +3,13 @@
 The signal is text the article already contains (its headline) or text
 derived from it (a generated summary). Sentences close to the signal in
 embedding space are treated as the article's check-worthy claims: the
-pipeline joins the first ``claims_k`` of a ranking into its claim.
+pipeline joins the first ``claims_k`` of a ranking into its claim. The same
+nearest-first step later ranks evidence sentences against that claim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+from typing import Sequence
 
 from .encode import NO_TOKENS, EncoderBackend, cosine_distance, encode_pairs
 from .encode import encode  # noqa: F401  (unused; perfbench's tracer wraps ``claimrank.encode``)
@@ -17,68 +17,56 @@ from .errors import EncodeError, unwrap
 from .textproc import has_tokens, split_sentences
 
 
-class SignalKind(str, Enum):
-    HEADLINE = "headline"
-    SUMMARY = "summary"
-    HEADLINE_PLUS_SUMMARY = "headline_plus_summary"
-
-
-@dataclass(frozen=True)
-class InternalSignal:
-    kind: SignalKind
-    text: str
-
-    def __post_init__(self) -> None:
-        if not self.text or not self.text.strip():
-            raise ValueError("internal signal text must be non-empty")
+def nearest_first(heads: Sequence[str], tails: Sequence[Sequence[str]], backend: EncoderBackend) -> list:
+    """``(tails[i], positions, distances)`` for each ``i``: every position in
+    ``tails[i]``, closest to ``heads[i]`` first (ties by position), and their
+    distances in that order. Tail texts must have tokens; a head without
+    them gets ``EncodeError(NO_TOKENS)``, and an entry ``encode_pairs``
+    fails gets its error. One ``encode_batch`` covers the heads, one the tails.
+    """
+    results: list = [None if has_tokens(head) else EncodeError(NO_TOKENS) for head in heads]
+    ok = [i for i, result in enumerate(results) if result is None]
+    for i, pair in zip(ok, encode_pairs(backend, [heads[i] for i in ok], [tails[i] for i in ok])):
+        if not isinstance(pair, Exception):
+            # (distance, position) pairs, so ties break by position.
+            order = sorted(zip(cosine_distance(*pair), range(len(tails[i]))))
+            distances, positions = zip(*order) if order else ((), ())
+            pair = tails[i], positions, distances
+        results[i] = pair
+    return results
 
 
 def rank_sentences(
     article_body: str,
-    signal: InternalSignal,
+    signal: str,
     backend: EncoderBackend,
     abbreviations: frozenset[str] | None = None,
 ) -> tuple[list[str], tuple[int, ...], tuple[float, ...]]:
-    """Order body sentences by ascending cosine distance to the signal.
+    """Order body sentences by ascending cosine distance to the signal text.
 
     Returns ``(sentences, ranked, distances)``: the body's ``split_sentences``
     list, every sentence's index in it closest first, and their distances in
-    the same order. Ties break by original position, so runs are
-    reproducible. This is ``rank_block`` for one article.
+    the same order, as ``nearest_first`` gives them. This is ``rank_block``
+    for one article.
     """
     return unwrap(rank_block([article_body], [signal], backend, abbreviations)[0])
 
 
 def rank_block(
     bodies: list[str],
-    signals: list[InternalSignal],
+    signals: list[str],
     backend: EncoderBackend,
     abbreviations: frozenset[str] | None = None,
 ) -> list:
-    """``rank_sentences`` for each ``(bodies[i], signals[i])``, with one
-    ``encode_batch`` for all signals and one for all body sentences. Entry
-    ``i`` is the ranking, or the input error that ranking article ``i``
-    alone raises."""
-    results: list = [None] * len(bodies)
-    pending = []  # (article, its sentences, whether every one has tokens)
-    for i, (body, signal) in enumerate(zip(bodies, signals)):
-        sentences = split_sentences(body, abbreviations)
-        if not sentences:
-            results[i] = ValueError("article body yields no sentences to rank")
-        elif not has_tokens(signal.text):
-            results[i] = EncodeError(NO_TOKENS)
-        else:
-            pending.append((i, sentences, all(map(has_tokens, sentences))))
+    """``rank_sentences`` for each ``(bodies[i], signals[i])``, through one
+    ``nearest_first``. Entry ``i`` is the ranking, or the input error that
+    ranking article ``i`` alone raises."""
+    split = [split_sentences(body, abbreviations) for body in bodies]
+    results: list = [None if s else ValueError("article body yields no sentences to rank") for s in split]
+    pending = [i for i, sentences in enumerate(split) if sentences]
+    ok = [all(map(has_tokens, sentences)) for sentences in split]
     # A sentence without tokens fails its article once the signal's row has passed.
-    pairs = encode_pairs(backend, [signals[i].text for i, _, _ in pending], [s if ok else () for _, s, ok in pending])
-    for (i, sentences, ok), pair in zip(pending, pairs):
-        if isinstance(pair, Exception):
-            results[i] = pair
-        elif not ok:
-            results[i] = EncodeError(NO_TOKENS)
-        else:
-            # (distance, position) pairs, so ties break by position.
-            distances, ranked = zip(*sorted(zip(cosine_distance(*pair), range(len(sentences)))))
-            results[i] = sentences, ranked, distances
+    rankings = nearest_first([signals[i] for i in pending], [split[i] if ok[i] else () for i in pending], backend)
+    for i, ranking in zip(pending, rankings):
+        results[i] = ranking if ok[i] or isinstance(ranking, Exception) else EncodeError(NO_TOKENS)
     return results
-

@@ -199,9 +199,10 @@ def _read_jsonl(lines: Iterable[str]):
         if not isinstance(obj, dict):
             yield line_no, "record is not an object"
             continue
-        missing = [c for c in _REQUIRED_COLUMNS if c not in obj]
-        if missing:
-            yield line_no, f"missing keys {missing}"
+        if None in map(obj.get, _REQUIRED_COLUMNS):  # a required key is missing or null
+            missing = [c for c in _REQUIRED_COLUMNS if c not in obj]
+            nulls = [c for c in _REQUIRED_COLUMNS if obj.get(c, "") is None]
+            yield line_no, f"missing keys {missing}" if missing else f"null keys {nulls}"
             continue
         yield line_no, obj
 
@@ -211,7 +212,7 @@ def _row_to_article(row: Mapping[str, object], dataset: DatasetKind) -> Article:
     published = None
     if published_raw not in (None, ""):
         try:
-            published = date.fromisoformat(str(published_raw).strip())
+            published = jsonio.parse_date(str(published_raw).strip())
         except ValueError:
             raise ValueError(f"bad published date {published_raw!r}") from None
     source_domain = row.get("source_domain") or None

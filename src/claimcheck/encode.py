@@ -127,7 +127,7 @@ class HashedBagEncoder(EncoderBackend):
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
         token_lists = [tokenize(text) for text in texts]
         if not all(token_lists):
-            raise EncodeError("cannot encode text with no tokens")
+            raise EncodeError(NO_TOKENS)
         return self._featurizer.unit_rows(token_lists)
 
 

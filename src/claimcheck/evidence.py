@@ -16,10 +16,11 @@ from datetime import date
 from pathlib import Path
 from typing import Sequence
 
+from .claimrank import nearest_first
 from .corpus import Article
-from .encode import NO_TOKENS, EncoderBackend, cosine_distance, encode_pairs
-from .encode import encode  # noqa: F401  (unused; perfbench's tracer wraps ``evidence.encode``)
-from .errors import ConfigError, EncodeError, FatalSearchError, unwrap
+from .encode import EncoderBackend
+from .encode import cosine_distance, encode  # noqa: F401  (unused; perfbench's tracer wraps ``evidence.<name>``)
+from .errors import ConfigError, FatalSearchError, unwrap
 from .textproc import has_tokens, list_entries, split_sentences
 
 logger = logging.getLogger(__name__)
@@ -270,8 +271,8 @@ def select_evidence(
     max_sentences: int = DEFAULT_MAX_EVIDENCE_SENTENCES,
     abbreviations: frozenset[str] | None = None,
 ) -> list:
-    """Evidence sets for ``claims[i]`` and ``survivors[i]``, with one
-    ``encode_batch`` for all claims and one for all candidate sentences.
+    """Evidence sets for ``claims[i]`` and ``survivors[i]``, through one
+    ``nearest_first`` over all claims and their candidate sentences.
 
     Candidates are the survivors' sentences with tokens; the top
     ``max_sentences`` by distance to the claim (ties by article order, then
@@ -281,12 +282,8 @@ def select_evidence(
     """
     results: list = [EvidenceSet() for _ in claims]
     pending = []  # (article, its candidates as (article order, sentence position, text))
-    for i, (claim, kept) in enumerate(zip(claims, survivors)):
-        if not kept:
-            continue
-        if not has_tokens(claim):
-            results[i] = EncodeError(NO_TOKENS)
-        else:
+    for i, kept in enumerate(survivors):
+        if kept:
             candidates = [
                 (order, idx, sentence)
                 for order, evidence_article in enumerate(kept)
@@ -295,21 +292,16 @@ def select_evidence(
             ]
             pending.append((i, candidates))
     heads, tails = [claims[i] for i, _ in pending], [[text for _, _, text in c] for _, c in pending]
-    for (i, candidates), pair in zip(pending, encode_pairs(backend, heads, tails)):
-        if isinstance(pair, Exception):
-            results[i] = pair
+    for (i, candidates), ranking in zip(pending, nearest_first(heads, tails, backend)):
+        if isinstance(ranking, Exception):
+            results[i] = ranking
             continue
-        # (article order, sentence position) is unique, so the text never decides the order.
-        pool = sorted((distance, *candidate) for distance, candidate in zip(cosine_distance(*pair), candidates))
+        # Positions follow (article order, sentence position), so ties break by those.
+        _, positions, distances = ranking
+        chosen = [candidates[position] for position in positions[:max_sentences]]
         top = tuple(
-            EvidenceSentence(
-                text=sentence,
-                distance=distance,
-                source_url=survivors[i][order].result.url,
-                article_order=order,
-                sentence_index=idx,
-            )
-            for distance, order, idx, sentence in pool[:max_sentences]
+            EvidenceSentence(sentence, distance, survivors[i][order].result.url, order, idx)
+            for (order, idx, sentence), distance in zip(chosen, distances)
         )
         results[i] = EvidenceSet(articles=survivors[i], sentences=top, concatenated=" ".join(s.text for s in top))
     return results

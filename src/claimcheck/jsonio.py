@@ -36,6 +36,15 @@ def replace_text(path: str | Path, text: str) -> None:
         raise
 
 
+def parse_date(text: str) -> date:
+    """``text`` as a ``YYYY-MM-DD`` date in ASCII digits, on every Python: from
+    3.11 on, ``date.fromisoformat`` alone also reads ``20170615`` and week dates."""
+    day = date.fromisoformat(text)  # reads ASCII digits only; a value that is not a string raises TypeError
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":  # of the forms it reads, only YYYY-MM-DD has this shape
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return day
+
+
 LOAD_CHUNK_BYTES = 1 << 20  # how much of a file ``load`` reads at a time
 _DECODER = json.JSONDecoder()
 # Guessed cuts, checked by decoding: a member that is an object; a comma after a list or object, before a key.
@@ -194,7 +203,7 @@ class Codec:
         if isinstance(hint, type) and issubclass(hint, Enum):
             return {member.value: member for member in hint}.__getitem__  # much faster than hint(value)
         if hint is date:
-            return date.fromisoformat
+            return parse_date
         if hint in _SCALARS:
             return None  # stored as is
         raise TypeError(f"no JSON form for {hint!r}")

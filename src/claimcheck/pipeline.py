@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import jsonio
-from .claimrank import InternalSignal, SignalKind, rank_block
+from .claimrank import rank_block
 from .config import (
     PipelineConfig,
     build_encoder,
@@ -67,6 +67,11 @@ class PipelineVariant(str, Enum):
     P2_SUMMARY = "p2"
     P3_HEADLINE_PLUS_SUMMARY = "p3"
 
+    @property
+    def signal_kind(self) -> str:
+        """The records' name for the variant's internal signal."""
+        return {"p1": "headline", "p2": "summary", "p3": "headline_plus_summary"}[self.value]
+
 
 @dataclass
 class PipelineRuntime:
@@ -97,7 +102,7 @@ class StageOutputs:
     """Signal, ranking, claim, and query for one article under one variant;
     ``ranked`` and ``distances`` are as in ``PipelineRecord``."""
 
-    signal: InternalSignal
+    signal: str
     ranked: tuple[int, ...] | None  # None for p3
     distances: tuple[float, ...] | None
     claim: str
@@ -123,21 +128,23 @@ def _failed(*entries) -> Exception | None:
 
 
 def _signal(article: Article, variant: PipelineVariant, summarizer: SummarizerBackend) -> tuple:
-    """The internal signal and the summary in it (None for p1)."""
+    """The internal signal's text and the summary in it (None for p1)."""
     if variant is PipelineVariant.P1_HEADLINE:
-        return InternalSignal(SignalKind.HEADLINE, article.headline), None
-    summary = summarize(summarizer, article.body)
-    if variant is PipelineVariant.P2_SUMMARY:
-        return InternalSignal(SignalKind.SUMMARY, summary), summary
-    return InternalSignal(SignalKind.HEADLINE_PLUS_SUMMARY, f"{article.headline} {summary}"), summary
+        signal, summary = article.headline, None
+    else:
+        summary = summarize(summarizer, article.body)
+        signal = summary if variant is PipelineVariant.P2_SUMMARY else f"{article.headline} {summary}"
+    if not signal.strip():
+        raise ValueError("internal signal text must be non-empty")
+    return signal, summary
 
 
 def _stages(
-    article: Article, signal: InternalSignal, summary: str | None, ranking: tuple | None, config: PipelineConfig
+    article: Article, signal: str, summary: str | None, ranking: tuple | None, config: PipelineConfig
 ) -> StageOutputs:
     if ranking is None:  # p3: no per-sentence ranking, the gist itself goes downstream
         query = build_query(article.headline, summary, config.query_word_limit)
-        return StageOutputs(signal=signal, ranked=None, distances=None, claim=signal.text, query=query)
+        return StageOutputs(signal=signal, ranked=None, distances=None, claim=signal, query=query)
     sentences, ranked, distances = ranking
     claim = " ".join([sentences[i] for i in ranked[: config.claims_k]])
     query = build_query(article.headline, claim, config.query_word_limit)
@@ -276,7 +283,7 @@ def _record(article: Article, stages, evidence, variant: PipelineVariant, timing
     )
     record.timings.update(timings)
     if not _failed(stages):
-        record.signal_kind, record.signal_text = stages.signal.kind.value, stages.signal.text
+        record.signal_kind, record.signal_text = variant.signal_kind, stages.signal
         record.ranked, record.distances = stages.ranked, stages.distances
         record.claim, record.query = stages.claim, stages.query.text
     error = _failed(evidence)  # a failed article's stage error is its evidence entry too

@@ -17,7 +17,6 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from datetime import date
 from pathlib import Path
 from typing import Callable
 
@@ -44,7 +43,7 @@ def _result_from_payload(item: dict, rank: int) -> SearchResult:
     raw_date = item.get("published")
     if raw_date:
         try:
-            published = date.fromisoformat(str(raw_date))
+            published = jsonio.parse_date(str(raw_date))
         except ValueError:
             raise FatalSearchError(f"malformed published date {raw_date!r} at rank {rank}") from None
     return SearchResult(

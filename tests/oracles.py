@@ -11,7 +11,6 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from claimcheck.claimrank import InternalSignal, SignalKind
 from claimcheck.corpus import VeracityLabel
 from claimcheck.encode import cosine_distance, encode, stable_bucket
 from claimcheck.errors import ClaimCheckError, EncodeError
@@ -200,22 +199,24 @@ def record_by_article(article, variant, runtime) -> PipelineRecord:
     )
     try:
         if variant is PipelineVariant.P1_HEADLINE:
-            signal = InternalSignal(SignalKind.HEADLINE, article.headline)
+            kind, signal = "headline", article.headline
         else:
             summary = summarize(runtime.summarizer, article.body)
             if variant is PipelineVariant.P2_SUMMARY:
-                signal = InternalSignal(SignalKind.SUMMARY, summary)
+                kind, signal = "summary", summary
             else:
-                signal = InternalSignal(SignalKind.HEADLINE_PLUS_SUMMARY, f"{article.headline} {summary}")
+                kind, signal = "headline_plus_summary", f"{article.headline} {summary}"
+        if not signal.strip():
+            raise ValueError("internal signal text must be non-empty")
         if variant is PipelineVariant.P3_HEADLINE_PLUS_SUMMARY:
             ranked = distances = None
-            claim = signal.text
+            claim = signal
             query = build_query(article.headline, summary, config.query_word_limit)
         else:
             sentences = split_sentences(article.body, runtime.abbreviations)
             if not sentences:
                 raise ValueError("article body yields no sentences to rank")
-            signal_vec = encode(encoder, signal.text)
+            signal_vec = encode(encoder, signal)
             if not all(has_tokens(sentence) for sentence in sentences):
                 raise EncodeError("text has no tokens to encode")
             by_index = [cosine_distance(signal_vec, encode(encoder, sentence)) for sentence in sentences]
@@ -223,7 +224,7 @@ def record_by_article(article, variant, runtime) -> PipelineRecord:
             distances = tuple(by_index[i] for i in ranked)
             claim = " ".join(sentences[i] for i in ranked[: config.claims_k])
             query = build_query(article.headline, claim, config.query_word_limit)
-        record.signal_kind, record.signal_text = signal.kind.value, signal.text
+        record.signal_kind, record.signal_text = kind, signal
         record.ranked, record.distances = ranked, distances
         record.claim, record.query = claim, query.text
 

@@ -14,7 +14,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from claimcheck.claimrank import InternalSignal, SignalKind, rank_sentences
+from claimcheck.claimrank import rank_sentences
 from claimcheck.corpus import VeracityLabel
 from claimcheck.encode import HashedBagEncoder, reference_encode
 from claimcheck.evidence import (
@@ -94,7 +94,7 @@ def test_criterion_2_ranking_matches_full_sort():
         sentences.insert(insert_at, injected)
         body = " ".join(sentences)
 
-        _, ranked, got = rank_sentences(body, InternalSignal(SignalKind.HEADLINE, signal_text), backend)
+        _, ranked, got = rank_sentences(body, signal_text, backend)
         assert len(ranked) == len(got) == 10
         assert ranked[0] == insert_at
         assert got[0] < 1e-9

@@ -4,11 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from claimcheck.claimrank import (
-    InternalSignal,
-    SignalKind,
-    rank_sentences,
-)
+from claimcheck.claimrank import rank_sentences
 from claimcheck.config import PipelineConfig
 from claimcheck.encode import HashedBagEncoder, reference_encode
 from claimcheck.pipeline import PipelineVariant, build_runtime, derive_stages
@@ -37,21 +33,21 @@ def backend():
 class TestRankSentences:
     def test_signal_identical_sentence_ranks_first(self, backend):
         body = "Alpha beta gamma delta. Harbor dredging resumes next month. Zeta eta theta iota."
-        signal = InternalSignal(SignalKind.HEADLINE, "Harbor dredging resumes next month.")
+        signal = "Harbor dredging resumes next month."
         _, ranked, distances = rank_sentences(body, signal, backend)
         assert ranked[0] == 1
         assert distances[0] < 1e-9
 
     def test_identical_sentences_keep_document_order(self, backend):
         body = "Same words here. Same words here. Same words here."
-        signal = InternalSignal(SignalKind.HEADLINE, "different signal text")
+        signal = "different signal text"
         _, ranked, distances = rank_sentences(body, signal, backend)
         assert ranked == (0, 1, 2)
         assert distances[0] == distances[1] == distances[2]
 
     def test_every_sentence_appears_once(self, backend):
         body = _random_article(random.Random(5))
-        signal = InternalSignal(SignalKind.HEADLINE, "council budget audit")
+        signal = "council budget audit"
         sentences, ranked, distances = rank_sentences(body, signal, backend)
         assert sentences == split_sentences(body)
         assert sorted(ranked) == list(range(len(sentences)))
@@ -62,8 +58,7 @@ class TestRankSentences:
         for _ in range(10):
             body = _random_article(rng)
             signal_text = " ".join(rng.choice(_VOCAB) for _ in range(5))
-            signal = InternalSignal(SignalKind.HEADLINE, signal_text)
-            _, ranked, got = rank_sentences(body, signal, backend)
+            _, ranked, got = rank_sentences(body, signal_text, backend)
 
             # Oracle: full sort over independently recomputed distances.
             sentences = split_sentences(body)
@@ -77,7 +72,7 @@ class TestRankSentences:
 
     def test_rank_invariant_under_monotone_distance_transform(self, backend):
         body = _random_article(random.Random(23))
-        signal = InternalSignal(SignalKind.HEADLINE, "library archive budget")
+        signal = "library archive budget"
         _, ranked, distances = rank_sentences(body, signal, backend)
         transformed = sorted(zip(distances, ranked), key=lambda pair: (3.0 * pair[0] + 1.0, pair[1]))
         assert [index for _, index in transformed] == list(ranked)
@@ -86,7 +81,7 @@ class TestRankSentences:
         # Sentence i repeats the signal word i+1 times next to one unique
         # filler token, so distances strictly decrease with i: no ties.
         sentences = [("Stadium " * (i + 1)).strip() + f" filler{i}." for i in range(8)]
-        signal = InternalSignal(SignalKind.HEADLINE, "stadium")
+        signal = "stadium"
 
         split, ranked, distances = rank_sentences(" ".join(sentences), signal, backend)
         assert len(set(distances)) == len(distances), "fixture must have distinct distances"
@@ -97,13 +92,14 @@ class TestRankSentences:
         assert [split_shuffled[i] for i in permuted] == [split[i] for i in ranked]
 
     def test_empty_body(self, backend):
-        signal = InternalSignal(SignalKind.HEADLINE, "anything")
+        signal = "anything"
         with pytest.raises(ValueError):
             rank_sentences("   ", signal, backend)
 
-    def test_empty_signal_rejected(self):
-        with pytest.raises(ValueError):
-            InternalSignal(SignalKind.HEADLINE, "  ")
+    def test_empty_signal_rejected(self, fixture_articles, runtime):
+        article = dataclasses.replace(fixture_articles[0], headline="  ")
+        with pytest.raises(ValueError, match="^internal signal text must be non-empty$"):
+            derive_stages(article, PipelineVariant.P1_HEADLINE, runtime)
 
 
 class TestClaim:

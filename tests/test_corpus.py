@@ -75,6 +75,18 @@ class TestIngest:
         assert result.skipped_malformed == 1
         assert result.warnings
 
+    @pytest.mark.parametrize("key", ["id", "headline", "body", "raw_label"])
+    def test_null_required_value_is_malformed(self, tmp_path, key):
+        path = _jsonl(tmp_path / "c.jsonl", [_row(0, **{key: None}), _row(1)])
+        result = ingest(path, DatasetKind.FIXTURE)
+        assert [a.id for a in result.articles] == ["a-1"]
+        assert result.skipped_malformed == 1
+        assert result.warnings == [f"row 1: null keys ['{key}']"]
+
+    def test_number_values_read_as_text(self, tmp_path):
+        path = _jsonl(tmp_path / "c.jsonl", [_row(0, id=17)])
+        assert ingest(path, DatasetKind.FIXTURE).articles[0].id == "17"
+
     def test_bad_date_is_malformed(self, tmp_path):
         path = _jsonl(tmp_path / "c.jsonl", [_row(0, published="not-a-date")])
         result = ingest(path, DatasetKind.FIXTURE)

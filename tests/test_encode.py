@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from claimcheck.encode import (
+    NO_TOKENS,
     EncoderBackend,
     HashedBagEncoder,
     HashedFeaturizer,
@@ -212,6 +213,10 @@ class TestBatchedEncoding:
             encode_batch(backend, ["fine", "..."])
         with pytest.raises(EncodeError, match="no tokens"):
             backend.encode_batch(["fine", "..."])
+
+    def test_the_reference_encoder_gives_the_contract_message(self):
+        with pytest.raises(EncodeError, match=f"^{NO_TOKENS}$"):
+            reference_encode("...")
 
     @pytest.mark.parametrize(
         "vector,message",

@@ -256,6 +256,15 @@ class TestGatherEvidence:
         assert evidence.sentences[0].text == claim
         assert evidence.sentences[0].distance < 1e-9
 
+    def test_positions_map_back_past_a_sentence_without_tokens_and_ties_keep_article_order(self, backend, allowlist):
+        claim = "Harbor dredging resumes next month."
+        body = f"... {claim} Filler words here."  # "..." is sentence 0 and has no tokens
+        provider = _provider([_result(0, body=body), _result(1, body=body)])
+        evidence = gather_evidence(_article(), claim, _QUERY, provider, allowlist, backend)
+        picked = [(s.article_order, s.sentence_index, s.distance) for s in evidence.sentences]
+        assert picked == [(0, 1, 0.0), (1, 1, 0.0), (0, 2, 1.0)]
+        assert [s.source_url for s in evidence.sentences] == [f"https://example.com/item-{i}" for i in (0, 1, 0)]
+
     def test_undated_evidence_fails_window(self, backend, allowlist):
         provider = _provider([_result(0, published=None), _result(1)])
         evidence = gather_evidence(_article(), "harbor dredging", _QUERY, provider, allowlist, backend)

@@ -76,8 +76,7 @@ class TestRunPipeline:
             assert all(a < b for a, b in zip(keys, keys[1:]))  # closest first, ties by index
             claims = [sentences[i] for i in record.ranked[: runtime.config.claims_k]]
             assert record.claim == " ".join(claims)
-            signal = claimrank.InternalSignal(claimrank.SignalKind(record.signal_kind), record.signal_text)
-            alone = claimrank.rank_sentences(article.body, signal, runtime.encoder, runtime.abbreviations)
+            alone = claimrank.rank_sentences(article.body, record.signal_text, runtime.encoder, runtime.abbreviations)
             assert alone[0] == sentences
             ranked, distances = alone[1:]
             assert record.ranked == ranked
