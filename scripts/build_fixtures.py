@@ -32,8 +32,7 @@ from claimcheck import fixtures  # noqa: E402
 from claimcheck.config import PipelineConfig, load_credible_list  # noqa: E402
 from claimcheck.corpus import DatasetKind, ingest, normalize_articles  # noqa: E402
 from claimcheck.encode import reference_encode  # noqa: E402
-from claimcheck.evidence import date_window, is_credible  # noqa: E402
-from claimcheck.jsonio import parse_date  # noqa: E402
+from claimcheck.evidence import Query, retrieve  # noqa: E402
 from claimcheck.pipeline import PipelineVariant, build_runtime, derive_stages  # noqa: E402
 from claimcheck.providers import FixtureSearchProvider, normalize_query_key  # noqa: E402
 
@@ -194,18 +193,8 @@ def build_search_fixture() -> dict:
     def query_key(article, variant) -> str:
         return normalize_query_key(derive_stages(article, variant, runtime).query.text)
 
-    def survives(article, item) -> bool:
-        # Mirror of the gather-stage filter predicate.
-        if not is_credible(item["domain"], credible):
-            return False
-        if not item["published"]:
-            return False
-        if article.published is None:
-            return True
-        return date_window(article.published, parse_date(item["published"]))
-
     def usable(article, key) -> bool:
-        return any(survives(article, item) for item in mapping.get(key, []))
+        return bool(retrieve(article, Query(key), FixtureSearchProvider(mapping), credible))
 
     for variant in (PipelineVariant.P1_HEADLINE, PipelineVariant.P2_SUMMARY):
         for idx, article in enumerate(articles):

@@ -40,50 +40,33 @@ def stable_bucket(token: str, seed: int, buckets: int) -> int:
     return int.from_bytes(hasher.digest(), "little") % buckets
 
 
-def l2_normalize(vector: np.ndarray) -> np.ndarray:
-    """Scale to unit L2 norm; an all-zero vector is returned unchanged."""
-    vec = np.asarray(vector, dtype=np.float64)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        return vec.copy()
-    return vec / norm
-
-
-class _BucketTable(dict):
-    """token -> ``stable_bucket(token, seed, buckets)``, filled on first use.
-
-    A key's value depends only on the token, so a warm table gives the
-    same rows as a cold one, whatever was encoded before.
-    """
-
-    def __init__(self, seed: int, buckets: int):
-        super().__init__()
-        self.seed = seed
-        self.buckets = buckets
-
-    def __missing__(self, token: str) -> int:
-        bucket = self[token] = stable_bucket(token, self.seed, self.buckets)
-        return bucket
-
-
-class HashedFeaturizer:
+class HashedFeaturizer(dict):
     """Hashed bag-of-tokens rows: bucket counts scaled to unit L2 norm.
 
-    Owned by one encoder or classifier instance; its token table lives as
-    long as the owner. Row ``i`` is bit-identical to accumulating one count
-    per token of ``token_lists[i]`` and calling ``l2_normalize``: counts are
-    integers, so the sum of squares is exact whatever the summation order.
+    The featurizer is its own token table: token -> ``stable_bucket(token,
+    seed, dimension)``, filled on first use. It is owned by one encoder or
+    classifier instance and lives as long as its owner. A key's value
+    depends only on the token, so a warm table gives the same rows as a
+    cold one, whatever was encoded before. Row ``i`` is bit-identical to
+    accumulating one count per token of ``token_lists[i]`` and dividing by
+    the counts' L2 norm: counts are integers, so the sum of squares is
+    exact whatever the summation order.
     """
 
     def __init__(self, dimension: int, seed: int):
+        super().__init__()
         self.dimension = dimension
-        self.table = _BucketTable(seed, dimension)
+        self.seed = seed
+
+    def __missing__(self, token: str) -> int:
+        bucket = self[token] = stable_bucket(token, self.seed, self.dimension)
+        return bucket
 
     def unit_rows(self, token_lists: Sequence[TokenSeq]) -> np.ndarray:
         """``(len(token_lists), dimension)`` float64; an empty list gives a zero row."""
         n, d = len(token_lists), self.dimension
         lengths = [len(tokens) for tokens in token_lists]
-        flat = np.fromiter(map(self.table.__getitem__, chain.from_iterable(token_lists)), np.intp, sum(lengths))
+        flat = np.fromiter(map(self.__getitem__, chain.from_iterable(token_lists)), np.intp, sum(lengths))
         flat += np.repeat(np.arange(0, n * d, d, dtype=np.intp), lengths)
         counts = np.bincount(flat, minlength=n * d).reshape(n, d)
         norms = np.sqrt(np.einsum("ij,ij->i", counts, counts).astype(np.float64))
@@ -165,22 +148,8 @@ def encode(backend: EncoderBackend, text: str) -> Embedding:
     return rows[0]
 
 
-def encode_batch(backend: EncoderBackend, texts: Sequence[str]) -> np.ndarray:
-    """Encode ``texts`` into an ``(n, dimension)`` matrix under the embedding contract.
-
-    The contract is checked once for the whole matrix; any text without
-    tokens fails the batch.
-    """
-    if not all(map(has_tokens, texts)):
-        raise EncodeError(NO_TOKENS)
-    matrix = np.asarray(backend.encode_batch(texts), dtype=np.float64)
-    if (fault := _fault(backend, matrix, (len(texts), backend.dimension))) is not None:
-        raise fault
-    return matrix
-
-
 def encode_pairs(backend: EncoderBackend, heads: Sequence[str], tails: Sequence[Sequence[str]]) -> list:
-    """``(encode(heads[i]), encode_batch(tails[i]))`` for every ``i``, from
+    """``(encode(heads[i]), the rows of tails[i])`` for every ``i``, from
     one ``encode_batch`` for all heads and one for all tail texts, which
     must have tokens. Both matrices are checked whole; only if one fails is
     each entry checked alone, so a bad row makes its own entry the error

@@ -44,50 +44,26 @@ class LeadSummarizer(SummarizerBackend):
         self.abbreviations = abbreviations
 
     def summarize(self, body: str) -> str:
-        return lead_fallback_summarize(body, self.max_tokens, self.abbreviations)
+        """Take leading whole sentences while the running token count fits.
+
+        If the first sentence alone exceeds ``max_tokens`` it is cut at the
+        word boundary where the budget runs out.
+        """
+        sentences = split_sentences(body, self.abbreviations)
+        if not sentences:
+            raise SummarizeError("body contains no sentences")
+        taken = _lead_within(sentences, self.max_tokens) or _lead_within(sentences[0].split(), self.max_tokens)
+        return " ".join(taken)
 
 
-def lead_fallback_summarize(
-    body: str,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
-    abbreviations: frozenset[str] | None = None,
-) -> str:
-    """Take leading whole sentences while the running token count fits.
-
-    If the first sentence alone exceeds ``max_tokens`` it is cut at the word
-    boundary where the budget runs out.
-    """
-    if not body or not body.strip():
-        raise SummarizeError("cannot summarize an empty body")
-    sentences = split_sentences(body, abbreviations)
-    if not sentences:
-        raise SummarizeError("body contains no sentences")
-
-    taken: list[str] = []
+def _lead_within(pieces: list[str], max_tokens: int) -> list[str]:
+    """The longest leading run of ``pieces`` whose tokens number at most ``max_tokens``."""
     total = 0
-    for sentence in sentences:
-        count = len(tokenize(sentence))
-        if total + count > max_tokens:
-            break
-        taken.append(sentence)
-        total += count
-    if not taken:
-        # Single oversized first sentence: truncate it at the token budget.
-        return _truncate_to_tokens(sentences[0], max_tokens)
-    return " ".join(taken)
-
-
-def _truncate_to_tokens(text: str, max_tokens: int) -> str:
-    words = text.split()
-    taken: list[str] = []
-    total = 0
-    for word in words:
-        count = len(tokenize(word))
-        if total + count > max_tokens:
-            break
-        taken.append(word)
-        total += count
-    return " ".join(taken)
+    for end, piece in enumerate(pieces):
+        total += len(tokenize(piece))
+        if total > max_tokens:
+            return pieces[:end]
+    return pieces
 
 
 def summarize(backend: SummarizerBackend, body: str) -> str:
@@ -107,5 +83,5 @@ def summarize(backend: SummarizerBackend, body: str) -> str:
             "summary from %r has %d tokens, truncating to %d",
             backend.name, count, backend.max_tokens,
         )
-        out = _truncate_to_tokens(out, backend.max_tokens)
+        out = " ".join(_lead_within(out.split(), backend.max_tokens))
     return out

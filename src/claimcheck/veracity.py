@@ -69,6 +69,11 @@ class LabeledText:
     label: VeracityLabel
 
 
+def _check_learning_rate(value: float) -> None:
+    if not 0 < value < math.inf:  # also rejects NaN
+        raise ValueError(f"learning rate must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 3
@@ -79,12 +84,11 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
-        if len(self.split) != 3 or any(r < 0 for r in self.split):
+        if len(self.split) != 3 or not all(r >= 0 for r in self.split):  # also rejects NaN
             raise ValueError(f"split must be three non-negative ratios, got {self.split}")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ValueError(f"split ratios must sum to 1, got {self.split}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+        _check_learning_rate(self.learning_rate)
 
 
 def split_dataset(items: Sequence, config: TrainConfig) -> tuple[list, list, list]:
@@ -128,8 +132,7 @@ class HashedLinearClassifier:
     ):
         if dimension < 8:
             raise ValueError(f"feature dimension must be >= 8, got {dimension}")
-        if learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {learning_rate}")
+        _check_learning_rate(learning_rate)
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch size must be positive, got {batch_size}")
         self.dimension = int(dimension)

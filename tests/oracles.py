@@ -108,6 +108,52 @@ def hashed_bag_by_loop(text: str, dimension: int, seed: int) -> np.ndarray:
     return vec if norm == 0.0 else vec / norm
 
 
+def encode_rows(backend, texts) -> np.ndarray:
+    """``backend.encode_batch(texts)`` under the embedding contract, checked
+    on the whole matrix.
+
+    Every text must have tokens, and the matrix must have shape
+    ``(len(texts), dimension)``, finite entries and rows of unit norm
+    within 1e-9. A breach raises the ``EncodeError`` that ``encode`` gives
+    for it; the checks are written out here, one after another.
+    """
+    if not all(has_tokens(text) for text in texts):
+        raise EncodeError("text has no tokens to encode")
+    matrix = np.asarray(backend.encode_batch(texts), dtype=np.float64)
+    expected = (len(texts), backend.dimension)
+    if matrix.shape != expected:
+        raise EncodeError(f"backend {backend.name!r} returned shape {matrix.shape}, expected {expected}")
+    if not np.all(np.isfinite(matrix)):
+        raise EncodeError(f"backend {backend.name!r} returned non-finite entries")
+    for row in matrix:
+        if abs(float(np.linalg.norm(row)) - 1.0) > 1e-9:
+            raise EncodeError(f"backend {backend.name!r} returned a non-unit vector")
+    return matrix
+
+
+def lead_by_counting_words(body: str, max_tokens: int, guard: frozenset[str] | None) -> str:
+    """The lead summary by walking the body's words in order, counting
+    tokens one word at a time.
+
+    The walk stops at the first word that takes the count past
+    ``max_tokens``. The summary is the sentences the walk finished or, if
+    it finished none, the words it took from the first sentence. ``tokenize``
+    and ``split_sentences`` are the definitions being composed and are
+    reused.
+    """
+    sentences = split_sentences(body, guard)
+    finished, first_words, count = 0, [], 0
+    for sentence in sentences:
+        for word in sentence.split():
+            count += len(tokenize(word))
+            if count > max_tokens:
+                return " ".join(sentences[:finished]) if finished else " ".join(first_words)
+            if not finished:
+                first_words.append(word)
+        finished += 1
+    return " ".join(sentences)
+
+
 def tokenize_by_scanning(text: str) -> list[str]:
     """Tokens by testing every character of the lowercased text in turn.
 

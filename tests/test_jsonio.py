@@ -310,6 +310,9 @@ def test_bad_store_line_is_an_ingest_error(tmp_path, line, message):
         ({"provider": {"requests_per_second": float("nan")}}, "requests_per_second must be non-negative, got nan"),
         ({"provider": {"timeout": -1}}, r"bad config field 'provider': timeout must be positive, got -1"),
         ({"provider": {"timeout": 0}}, "timeout must be positive, got 0"),
+        ({"train": {"learning_rate": float("nan")}}, "learning rate must be positive and finite, got nan"),
+        ({"train": {"learning_rate": float("inf")}}, "learning rate must be positive and finite, got inf"),
+        ({"train": {"split": [0.8, float("nan"), 0.1]}}, r"split must be three non-negative ratios, got \(0.8, nan, 0.1\)"),
     ],
 )
 def test_bad_config_is_a_config_error(data, message):

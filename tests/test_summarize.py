@@ -1,17 +1,17 @@
 import logging
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from claimcheck.errors import SummarizeError
 from claimcheck.summarize import (
     LeadSummarizer,
     SummarizerBackend,
-    lead_fallback_summarize,
     summarize,
 )
 from claimcheck.textproc import split_sentences, tokenize
+from oracles import lead_by_counting_words
 
 
 def _sentence(n_tokens: int, tag: str) -> str:
@@ -26,30 +26,30 @@ def test_sentence_helper_token_counts():
 class TestLeadFallback:
     def test_short_body_returned_whole(self):
         body = _sentence(20, "a") + " " + _sentence(20, "b")  # 40 tokens total
-        assert lead_fallback_summarize(body, 180) == body
+        assert LeadSummarizer(180).summarize(body) == body
 
     def test_three_fitting_sentences_kept(self):
         body = " ".join(_sentence(50, t) for t in ("a", "b", "c"))  # 150 tokens
-        assert lead_fallback_summarize(body, 180) == body
+        assert LeadSummarizer(180).summarize(body) == body
 
     def test_stops_before_budget_overflow(self):
         first = _sentence(100, "a")
         body = first + " " + _sentence(100, "b")  # 200 tokens
-        assert lead_fallback_summarize(body, 180) == first
+        assert LeadSummarizer(180).summarize(body) == first
 
     def test_single_oversized_sentence_truncated(self):
         body = _sentence(300, "a")
-        out = lead_fallback_summarize(body, 180)
+        out = LeadSummarizer(180).summarize(body)
         assert len(tokenize(out)) == 180
         assert body.startswith(out)
 
     def test_empty_body(self):
         with pytest.raises(SummarizeError):
-            lead_fallback_summarize("   ", 180)
+            LeadSummarizer(180).summarize("   ")
 
     def test_output_is_sentence_prefix(self):
         body = " ".join(_sentence(30, t) for t in ("a", "b", "c", "d", "e", "f", "g"))
-        out = lead_fallback_summarize(body, 180)
+        out = LeadSummarizer(180).summarize(body)
         sentences = split_sentences(body)
         assert out == " ".join(sentences[:6])  # 180 tokens exactly
 
@@ -106,3 +106,28 @@ def test_budget_is_a_hard_invariant(body):
     out = summarize(LeadSummarizer(), body)
     assert len(tokenize(out)) <= 180
     assert out.strip()
+
+
+_words = st.sampled_from(
+    ["state-of-the-art", "U.S.", "e.g.", "well-known", "3.5%", "don't", "Dr.", "x", "plain", "word", "--", "a1b2c3"]
+)
+_sentences = st.tuples(
+    st.sampled_from(["The", "State-of-the-art", "U.S.", "A-b-c-d-e-f"]),
+    st.lists(_words, max_size=12),
+    st.sampled_from([".", "!", "?"]),
+)
+_lead_bodies = st.lists(_sentences, min_size=1, max_size=8).map(
+    lambda parts: " ".join(" ".join([head, *words]) + end for head, words, end in parts)
+)
+
+
+@given(_lead_bodies, st.integers(min_value=1, max_value=200), st.sampled_from([None, frozenset({"dr"}), frozenset()]))
+@example("State-of-the-art work. More text.", 3, None)  # the first word alone is over budget
+def test_lead_rule_matches_the_word_by_word_oracle(body, max_tokens, guard):
+    expected = lead_by_counting_words(body, max_tokens, guard)
+    backend = LeadSummarizer(max_tokens, guard)
+    if not expected:
+        with pytest.raises(SummarizeError, match="empty summary"):
+            summarize(backend, body)
+    else:
+        assert summarize(backend, body) == expected

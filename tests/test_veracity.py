@@ -268,6 +268,18 @@ class TestReferenceClassifier:
         with pytest.raises(ValueError):
             HashedLinearClassifier(batch_size=0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_is_rejected(self, rate):
+        with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+            HashedLinearClassifier(learning_rate=rate)
+
+    def test_snapshot_with_a_nan_learning_rate_is_an_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        HashedLinearClassifier(dimension=8).save(path)
+        path.write_text(path.read_text(encoding="utf-8").replace('"learning_rate": 1.0', '"learning_rate": NaN'))
+        with pytest.raises(ConfigError, match="positive and finite, got nan"):
+            HashedLinearClassifier.load(path)
+
 
 class TestScorePredictions:
     def test_perfect_predictions(self):
