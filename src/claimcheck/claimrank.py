@@ -20,27 +20,23 @@ from .textproc import has_tokens, split_sentences
 def nearest_first(heads: Sequence[str], tails: Sequence[Sequence[str]], backend: EncoderBackend) -> list:
     """``(tails[i], positions, distances)`` for each ``i``: every position in
     ``tails[i]``, closest to ``heads[i]`` first (ties by position), and their
-    distances in that order. Tail texts must have tokens; a head without
-    them gets ``EncodeError(NO_TOKENS)``, and an entry ``encode_pairs``
-    fails gets its error. One ``encode_batch`` covers the heads, one the tails.
+    distances in that order. Head and tail texts must have tokens, so callers
+    check a head before they scan its tail; an entry ``encode_pairs`` fails
+    gets its error. One ``encode_batch`` covers the heads, one the tails.
     """
-    results: list = [None if has_tokens(head) else EncodeError(NO_TOKENS) for head in heads]
-    ok = [i for i, result in enumerate(results) if result is None]
-    for i, pair in zip(ok, encode_pairs(backend, [heads[i] for i in ok], [tails[i] for i in ok])):
+    results: list = []
+    for tail, pair in zip(tails, encode_pairs(backend, heads, tails)):
         if not isinstance(pair, Exception):
             # (distance, position) pairs, so ties break by position.
-            order = sorted(zip(cosine_distance(*pair), range(len(tails[i]))))
+            order = sorted(zip(cosine_distance(*pair), range(len(tail))))
             distances, positions = zip(*order) if order else ((), ())
-            pair = tails[i], positions, distances
-        results[i] = pair
+            pair = tail, positions, distances
+        results.append(pair)
     return results
 
 
 def rank_sentences(
-    article_body: str,
-    signal: str,
-    backend: EncoderBackend,
-    abbreviations: frozenset[str] | None = None,
+    article_body: str, signal: str, backend: EncoderBackend
 ) -> tuple[list[str], tuple[int, ...], tuple[float, ...]]:
     """Order body sentences by ascending cosine distance to the signal text.
 
@@ -49,24 +45,24 @@ def rank_sentences(
     the same order, as ``nearest_first`` gives them. This is ``rank_block``
     for one article.
     """
-    return unwrap(rank_block([article_body], [signal], backend, abbreviations)[0])
+    return unwrap(rank_block([article_body], [signal], backend)[0])
 
 
-def rank_block(
-    bodies: list[str],
-    signals: list[str],
-    backend: EncoderBackend,
-    abbreviations: frozenset[str] | None = None,
-) -> list:
+def rank_block(bodies: list[str], signals: list[str], backend: EncoderBackend) -> list:
     """``rank_sentences`` for each ``(bodies[i], signals[i])``, through one
     ``nearest_first``. Entry ``i`` is the ranking, or the input error that
     ranking article ``i`` alone raises."""
-    split = [split_sentences(body, abbreviations) for body in bodies]
-    results: list = [None if s else ValueError("article body yields no sentences to rank") for s in split]
-    pending = [i for i, sentences in enumerate(split) if sentences]
-    ok = [all(map(has_tokens, sentences)) for sentences in split]
+    split = [split_sentences(body) for body in bodies]
+    results: list = [
+        ValueError("article body yields no sentences to rank") if not sentences
+        else None if has_tokens(signal) else EncodeError(NO_TOKENS)
+        for sentences, signal in zip(split, signals)
+    ]
+    pending = [i for i, result in enumerate(results) if result is None]
+    ok = [all(map(has_tokens, split[i])) for i in pending]
     # A sentence without tokens fails its article once the signal's row has passed.
-    rankings = nearest_first([signals[i] for i in pending], [split[i] if ok[i] else () for i in pending], backend)
-    for i, ranking in zip(pending, rankings):
-        results[i] = ranking if ok[i] or isinstance(ranking, Exception) else EncodeError(NO_TOKENS)
+    tails = [split[i] if good else () for i, good in zip(pending, ok)]
+    rankings = nearest_first([signals[i] for i in pending], tails, backend)
+    for i, good, ranking in zip(pending, ok, rankings):
+        results[i] = ranking if good or isinstance(ranking, Exception) else EncodeError(NO_TOKENS)
     return results

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import fixtures
-from .config import PipelineConfig, build_classifier, build_summarizer, load_abbreviation_guard, load_config
+from .config import PipelineConfig, build_classifier, build_summarizer, load_config
 from .corpus import (
     Article,
     DatasetKind,
@@ -83,7 +83,7 @@ def _cmd_gist_eval(args: argparse.Namespace) -> int:
     articles = _load_corpus(args.corpus, args.dataset)
     report = run_gist_experiment(
         articles,
-        [build_summarizer(config.summarizer, load_abbreviation_guard(config))],
+        [build_summarizer(config.summarizer)],
         sample_size=args.sample_size,
         seed=config.seed,
     )

@@ -25,7 +25,6 @@ from .evidence import (
 )
 from .providers import FixtureSearchProvider, LiveSearchProvider, RateLimiter
 from .summarize import DEFAULT_MAX_TOKENS, LeadSummarizer, SummarizerBackend
-from .textproc import load_abbreviations
 from .veracity import HashedLinearClassifier, TrainConfig
 
 
@@ -73,7 +72,6 @@ class PipelineConfig:
     provider: ProviderSettings = field(default_factory=ProviderSettings)
     train: TrainConfig = field(default_factory=TrainConfig)
     credible_list_path: str | None = None  # defaults to the shipped test list
-    abbreviations_path: str | None = None  # None = built-in guard list
     claims_k: int = 3
     query_word_limit: int = DEFAULT_QUERY_WORD_LIMIT
     date_window_months: int = DEFAULT_WINDOW_MONTHS
@@ -109,10 +107,8 @@ def build_encoder(settings: EncoderSettings) -> EncoderBackend:
     return HashedBagEncoder(dimension=settings.dimension, seed=settings.seed)
 
 
-def build_summarizer(
-    settings: SummarizerSettings, abbreviations: frozenset[str] | None = None
-) -> SummarizerBackend:
-    return LeadSummarizer(max_tokens=settings.max_tokens, abbreviations=abbreviations)
+def build_summarizer(settings: SummarizerSettings) -> SummarizerBackend:
+    return LeadSummarizer(max_tokens=settings.max_tokens)
 
 
 def build_classifier(settings: ClassifierSettings) -> HashedLinearClassifier:
@@ -145,9 +141,3 @@ def load_credible_list(config: PipelineConfig) -> CredibleDomainList:
     path = config.credible_list_path or fixtures.credible_domains_path()
     return CredibleDomainList.from_file(path)
 
-
-def load_abbreviation_guard(config: PipelineConfig) -> frozenset[str] | None:
-    """Custom sentence-splitter guard list, or None for the built-in one."""
-    if config.abbreviations_path is None:
-        return None
-    return load_abbreviations(config.abbreviations_path)

@@ -59,6 +59,7 @@ DEFAULT_LABEL_TABLE: Mapping[str, Union[VeracityLabel, _Drop]] = {
 }
 
 _REQUIRED_COLUMNS = ("id", "headline", "body", "raw_label")
+_ARTICLE_COLUMNS = (*_REQUIRED_COLUMNS, "published", "source_domain", "claim")
 
 # Default on-disk format per dataset; override via the ``fmt`` argument.
 _DEFAULT_FORMATS = {
@@ -203,6 +204,14 @@ def _read_jsonl(lines: Iterable[str]):
             missing = [c for c in _REQUIRED_COLUMNS if c not in obj]
             nulls = [c for c in _REQUIRED_COLUMNS if obj.get(c, "") is None]
             yield line_no, f"missing keys {missing}" if missing else f"null keys {nulls}"
+            continue
+        # str() would write a nested value's Python repr into the article.
+        # Only a line with a bracket past its first character can hold one,
+        # and that substring test is far cheaper than looking at each value.
+        if ("[" in line or "{" in line[1:]) and (
+            nested := [c for c in _ARTICLE_COLUMNS if isinstance(obj.get(c), (dict, list))]
+        ):
+            yield line_no, f"object or list values for keys {nested}"
             continue
         yield line_no, obj
 

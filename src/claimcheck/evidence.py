@@ -18,9 +18,9 @@ from typing import Sequence
 
 from .claimrank import nearest_first
 from .corpus import Article
-from .encode import EncoderBackend
+from .encode import NO_TOKENS, EncoderBackend
 from .encode import cosine_distance, encode  # noqa: F401  (unused; perfbench's tracer wraps ``evidence.<name>``)
-from .errors import ConfigError, FatalSearchError, unwrap
+from .errors import ConfigError, EncodeError, FatalSearchError, unwrap
 from .textproc import has_tokens, list_entries, split_sentences
 
 logger = logging.getLogger(__name__)
@@ -110,8 +110,8 @@ def date_window(article_date: date, evidence_date: date, months: int = DEFAULT_W
 
 
 # Second-level suffixes under which registrable names take one more label.
-# Snapshot of the common cases; extend the list via CredibleDomainList if an
-# operator corpus needs more.
+# A fixed snapshot of the common cases; a suffix missing here makes its names
+# reduce to the suffix itself.
 _MULTI_LABEL_SUFFIXES = frozenset(
     {
         "co.uk", "org.uk", "ac.uk", "gov.uk", "net.uk",
@@ -166,12 +166,16 @@ class CredibleDomainList:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CredibleDomainList":
-        """One domain per line (see ``list_entries``). Entries should be
-        registrable domains (no scheme, no path)."""
+        """One domain per line (see ``list_entries``). An entry must be a
+        registrable domain, since ``is_credible`` compares only those."""
         domains = list_entries(path)
         for entry in domains:
             if "/" in entry or ":" in entry:
                 raise ConfigError(f"credible-list entry {entry!r} carries a scheme or path")
+            if (registrable := registrable_domain(entry)) != entry:
+                raise ConfigError(
+                    f"credible-list entry {entry!r} is not a registrable domain (registrable form: {registrable!r})"
+                )
         return cls(domains=frozenset(domains))
 
 
@@ -224,12 +228,11 @@ def gather_evidence(
     max_results: int = DEFAULT_MAX_RESULTS,
     max_articles: int = DEFAULT_MAX_EVIDENCE_ARTICLES,
     max_sentences: int = DEFAULT_MAX_EVIDENCE_SENTENCES,
-    abbreviations: frozenset[str] | None = None,
 ) -> EvidenceSet:
     """Search, filter, and pick the evidence sentences closest to the claim:
     ``retrieve``, then ``select_evidence`` for one article."""
     survivors = retrieve(article, query, provider, credible, months, max_results, max_articles)
-    return unwrap(select_evidence([claim_text], [survivors], backend, max_sentences, abbreviations)[0])
+    return unwrap(select_evidence([claim_text], [survivors], backend, max_sentences)[0])
 
 
 def retrieve(
@@ -269,7 +272,6 @@ def select_evidence(
     survivors: Sequence[tuple[EvidenceArticle, ...]],
     backend: EncoderBackend,
     max_sentences: int = DEFAULT_MAX_EVIDENCE_SENTENCES,
-    abbreviations: frozenset[str] | None = None,
 ) -> list:
     """Evidence sets for ``claims[i]`` and ``survivors[i]``, through one
     ``nearest_first`` over all claims and their candidate sentences.
@@ -277,17 +279,20 @@ def select_evidence(
     Candidates are the survivors' sentences with tokens; the top
     ``max_sentences`` by distance to the claim (ties by article order, then
     sentence position) form the evidence text E. Without survivors the set
-    is empty and the claim is not encoded. Entry ``i`` is instead the input
+    is empty and the claim is not encoded; a claim without tokens is an
+    error and its survivors are not split. Entry ``i`` is instead the input
     error that selecting for article ``i`` alone raises, if any.
     """
     results: list = [EvidenceSet() for _ in claims]
     pending = []  # (article, its candidates as (article order, sentence position, text))
     for i, kept in enumerate(survivors):
-        if kept:
+        if kept and not has_tokens(claims[i]):
+            results[i] = EncodeError(NO_TOKENS)
+        elif kept:
             candidates = [
                 (order, idx, sentence)
                 for order, evidence_article in enumerate(kept)
-                for idx, sentence in enumerate(split_sentences(evidence_article.result.body, abbreviations))
+                for idx, sentence in enumerate(split_sentences(evidence_article.result.body))
                 if has_tokens(sentence)  # nothing to embed otherwise
             ]
             pending.append((i, candidates))

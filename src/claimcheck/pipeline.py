@@ -29,7 +29,6 @@ from .config import (
     build_encoder,
     build_provider,
     build_summarizer,
-    load_abbreviation_guard,
     load_credible_list,
 )
 from .corpus import Article, VeracityLabel
@@ -82,18 +81,15 @@ class PipelineRuntime:
     summarizer: SummarizerBackend
     provider: SearchProvider
     credible: CredibleDomainList
-    abbreviations: frozenset[str] | None = None
 
 
 def build_runtime(config: PipelineConfig, provider: SearchProvider | None = None) -> PipelineRuntime:
-    abbreviations = load_abbreviation_guard(config)
     return PipelineRuntime(
         config=config,
         encoder=build_encoder(config.encoder),
-        summarizer=build_summarizer(config.summarizer, abbreviations),
+        summarizer=build_summarizer(config.summarizer),
         provider=provider if provider is not None else build_provider(config.provider),
         credible=load_credible_list(config),
-        abbreviations=abbreviations,
     )
 
 
@@ -158,7 +154,7 @@ def _derive_block(articles: Sequence[Article], variant: PipelineVariant, runtime
     if variant is not PipelineVariant.P3_HEADLINE_PLUS_SUMMARY:
         ok = [i for i, gist in enumerate(gists) if not _failed(gist)]
         bodies, signals = [articles[i].body for i in ok], [gists[i][0] for i in ok]
-        for i, ranking in zip(ok, rank_block(bodies, signals, runtime.encoder, runtime.abbreviations)):
+        for i, ranking in zip(ok, rank_block(bodies, signals, runtime.encoder)):
             rankings[i] = ranking
     return [
         _failed(gist, ranking) or _attempt(_stages, article, *gist, ranking, runtime.config)
@@ -170,7 +166,7 @@ def _derive_block(articles: Sequence[Article], variant: PipelineVariant, runtime
 class PipelineRecord:
     """Per-article trace of one pipeline run.
 
-    ``ranked`` is each sentence's index in ``split_sentences(body, abbreviations)``,
+    ``ranked`` is each sentence's index in ``split_sentences(body)``,
     closest to the signal first, and ``distances`` their distances (both None
     for p3). ``label`` is the gold label with the NEI override applied. ``timings``
     are diagnostic; the constructor does not take them, which keeps them
@@ -265,7 +261,7 @@ def _run_block(articles: Sequence[Article], variant: PipelineVariant, runtime: P
     ]
     ok = [i for i, survivors in enumerate(evidence) if not _failed(survivors)]
     claims, survivors = [stages[i].claim for i in ok], [evidence[i] for i in ok]
-    chosen = select_evidence(claims, survivors, runtime.encoder, config.max_evidence_sentences, runtime.abbreviations)
+    chosen = select_evidence(claims, survivors, runtime.encoder, config.max_evidence_sentences)
     for i, evidence_set in zip(ok, chosen):
         evidence[i] = evidence_set
     finished, share = time.monotonic(), 1.0 / len(articles)

@@ -39,17 +39,13 @@ class LeadSummarizer(SummarizerBackend):
 
     name = "lead"
 
-    def __init__(self, max_tokens: int = DEFAULT_MAX_TOKENS, abbreviations: frozenset[str] | None = None):
-        super().__init__(max_tokens)
-        self.abbreviations = abbreviations
-
     def summarize(self, body: str) -> str:
         """Take leading whole sentences while the running token count fits.
 
         If the first sentence alone exceeds ``max_tokens`` it is cut at the
         word boundary where the budget runs out.
         """
-        sentences = split_sentences(body, self.abbreviations)
+        sentences = split_sentences(body)
         if not sentences:
             raise SummarizeError("body contains no sentences")
         taken = _lead_within(sentences, self.max_tokens) or _lead_within(sentences[0].split(), self.max_tokens)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 from .errors import ConfigError
@@ -69,17 +68,12 @@ def list_entries(path: str | Path) -> list[str]:
     return [entry for entry in entries if entry]
 
 
-def load_abbreviations(path: str | Path) -> frozenset[str]:
-    """Load one abbreviation per line (see ``list_entries``); a trailing period is dropped."""
-    return frozenset(filter(None, (entry.rstrip(".") for entry in list_entries(path))))
-
-
-def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> list[str]:
+def split_sentences(text: str) -> list[str]:
     """Split ``text`` into sentences.
 
     A boundary is a ``.``, ``!`` or ``?`` followed by whitespace and an
     uppercase letter, or by end of text. A period is not a boundary when the
-    word before it is in the abbreviation guard list. Only whitespace is
+    word before it is in ``DEFAULT_ABBREVIATIONS``. Only whitespace is
     trimmed, so joining the returned sentences loses no tokens relative to
     ``tokenize(text)``.
 
@@ -87,16 +81,15 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
     by construction; other text keeps the ``_is_boundary`` loop, which stays
     the definition (perfbench text is all ASCII, so it never times the loop).
     """
-    guard = DEFAULT_ABBREVIATIONS if abbreviations is None else abbreviations
     if text.isascii():
-        parts = _ascii_boundary_re(guard).split(text.strip())
+        parts = _ASCII_BOUNDARY_RE.split(text.strip())
         pairs = iter(parts)  # sentence, terminator, ..., last sentence or ""
         return [s + t for s, t in zip(pairs, pairs)] + list(filter(None, parts[-1:]))
     sentences: list[str] = []
     start = 0
     for match in _TERMINATOR_RE.finditer(text):
         i = match.start()
-        if _is_boundary(text, i, guard):
+        if _is_boundary(text, i):
             piece = text[start : i + 1].strip()
             if piece:
                 sentences.append(piece)
@@ -107,17 +100,16 @@ def split_sentences(text: str, abbreviations: frozenset[str] | None = None) -> l
     return sentences
 
 
-@lru_cache
-def _ascii_boundary_re(guard: frozenset[str]) -> re.Pattern[str]:
-    # One fixed-width lookbehind per guarded word length; only [a-z]* words can
-    # match ASCII text. No re.ASCII: \s must match \x1c-\x1f like str.isspace.
-    words = sorted(w for w in guard if re.fullmatch("[a-z]*", w))
-    alternations = {len(w): "|".join(v for v in words if len(v) == len(w)) for w in words}
-    lookbehinds = "".join(f"(?<!(?<![A-Za-z])(?i:{alt})\\.)" for alt in alternations.values())
-    return re.compile(f"([.!?]){lookbehinds}\\s+(?=[A-Z])")
+# One fixed-width lookbehind per guarded word length. No re.ASCII: \s must
+# match \x1c-\x1f like str.isspace.
+_GUARDS_BY_LENGTH = {len(w): "|".join(v for v in sorted(DEFAULT_ABBREVIATIONS) if len(v) == len(w))
+                     for w in sorted(DEFAULT_ABBREVIATIONS)}
+_ASCII_BOUNDARY_RE = re.compile(
+    "([.!?])" + "".join(f"(?<!(?<![A-Za-z])(?i:{alt})\\.)" for alt in _GUARDS_BY_LENGTH.values()) + r"\s+(?=[A-Z])"
+)
 
 
-def _is_boundary(text: str, i: int, guard: frozenset[str]) -> bool:
+def _is_boundary(text: str, i: int) -> bool:
     j = i + 1
     n = len(text)
     while j < n and text[j].isspace():
@@ -131,7 +123,7 @@ def _is_boundary(text: str, i: int, guard: frozenset[str]) -> bool:
         k = i
         while k > 0 and text[k - 1].isalpha():
             k -= 1
-        if text[k:i].lower() in guard:
+        if text[k:i].lower() in DEFAULT_ABBREVIATIONS:
             return False
     return True
 

@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, settings
 
-from claimcheck import fixtures
+from claimcheck import claimrank, encode, evidence, fixtures
 from claimcheck.config import PipelineConfig
 from claimcheck.corpus import DatasetKind, ingest, normalize_articles
 from claimcheck.pipeline import build_runtime
@@ -25,3 +27,18 @@ def fixture_articles():
 @pytest.fixture(scope="session")
 def runtime():
     return build_runtime(PipelineConfig())
+
+
+@pytest.fixture()
+def token_scans(monkeypatch):
+    """Counts of the texts ``has_tokens`` scans in encoding, ranking and evidence selection."""
+    scans = Counter()
+    real = encode.has_tokens
+
+    def counted(text):
+        scans[text] += 1
+        return real(text)
+
+    for module in (encode, claimrank, evidence):
+        monkeypatch.setattr(module, "has_tokens", counted)
+    return scans

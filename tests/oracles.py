@@ -25,7 +25,7 @@ from claimcheck.evidence import (
 )
 from claimcheck.pipeline import PipelineRecord, PipelineVariant
 from claimcheck.summarize import summarize
-from claimcheck.textproc import has_tokens, split_sentences, tokenize
+from claimcheck.textproc import DEFAULT_ABBREVIATIONS, has_tokens, split_sentences, tokenize
 
 
 def clipped_unigram_overlap(candidate: list[str], reference: list[str]) -> int:
@@ -131,7 +131,7 @@ def encode_rows(backend, texts) -> np.ndarray:
     return matrix
 
 
-def lead_by_counting_words(body: str, max_tokens: int, guard: frozenset[str] | None) -> str:
+def lead_by_counting_words(body: str, max_tokens: int) -> str:
     """The lead summary by walking the body's words in order, counting
     tokens one word at a time.
 
@@ -141,7 +141,7 @@ def lead_by_counting_words(body: str, max_tokens: int, guard: frozenset[str] | N
     and ``split_sentences`` are the definitions being composed and are
     reused.
     """
-    sentences = split_sentences(body, guard)
+    sentences = split_sentences(body)
     finished, first_words, count = 0, [], 0
     for sentence in sentences:
         for word in sentence.split():
@@ -163,12 +163,13 @@ def tokenize_by_scanning(text: str) -> list[str]:
     return "".join(ch if ch.isalnum() else " " for ch in text.lower()).split()
 
 
-def split_sentences_by_scanning(text: str, guard: frozenset[str]) -> list[str]:
+def split_sentences_by_scanning(text: str) -> list[str]:
     """Sentence split by testing every character in turn.
 
     A ``.``, ``!`` or ``?`` ends a sentence when whitespace and then an
     uppercase letter follow it, or when only whitespace follows it; a
-    period does not when the letters right before it form a guarded word.
+    period does not when the letters right before it, lowercased, are in
+    ``DEFAULT_ABBREVIATIONS``.
     """
     sentences = []
     start = 0
@@ -184,7 +185,7 @@ def split_sentences_by_scanning(text: str, guard: frozenset[str]) -> list[str]:
             k = i
             while k > 0 and text[k - 1].isalpha():
                 k -= 1
-            if text[k:i].lower() in guard:
+            if text[k:i].lower() in DEFAULT_ABBREVIATIONS:
                 continue
         piece = text[start : i + 1].strip()
         if piece:
@@ -259,7 +260,7 @@ def record_by_article(article, variant, runtime) -> PipelineRecord:
             claim = signal
             query = build_query(article.headline, summary, config.query_word_limit)
         else:
-            sentences = split_sentences(article.body, runtime.abbreviations)
+            sentences = split_sentences(article.body)
             if not sentences:
                 raise ValueError("article body yields no sentences to rank")
             signal_vec = encode(encoder, signal)
@@ -290,7 +291,7 @@ def record_by_article(article, variant, runtime) -> PipelineRecord:
             candidates = [
                 (order, index, sentence)
                 for order, survivor in enumerate(survivors)
-                for index, sentence in enumerate(split_sentences(survivor.result.body, runtime.abbreviations))
+                for index, sentence in enumerate(split_sentences(survivor.result.body))
                 if has_tokens(sentence)
             ]
             pool = sorted(

@@ -234,7 +234,7 @@ def test_criterion_6_gradient_check():
 
 def test_criterion_7_end_to_end_determinism_and_nei(fixture_articles, runtime, tmp_path):
     started = time.monotonic()
-    sentences = {a.id: split_sentences(a.body, runtime.abbreviations) for a in fixture_articles}
+    sentences = {a.id: split_sentences(a.body) for a in fixture_articles}
     for variant in PipelineVariant:
         runs = []
         for tag in ("first", "second"):

@@ -4,9 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from claimcheck.claimrank import rank_sentences
+from claimcheck.claimrank import rank_block, rank_sentences
 from claimcheck.config import PipelineConfig
-from claimcheck.encode import HashedBagEncoder, reference_encode
+from claimcheck.encode import NO_TOKENS, HashedBagEncoder, reference_encode
+from claimcheck.errors import EncodeError
 from claimcheck.pipeline import PipelineVariant, build_runtime, derive_stages
 from claimcheck.textproc import split_sentences
 
@@ -96,6 +97,13 @@ class TestRankSentences:
         with pytest.raises(ValueError):
             rank_sentences("   ", signal, backend)
 
+    def test_a_signal_without_tokens_leaves_its_body_unscanned(self, backend, token_scans):
+        body = "Harbor crews dredge. Ships wait."
+        rejected, ranking = rank_block([body, body], ["...", "Harbor crews"], backend)
+        assert type(rejected) is EncodeError and str(rejected) == NO_TOKENS
+        assert ranking[0] == ["Harbor crews dredge.", "Ships wait."]
+        assert token_scans == {"...": 1, "Harbor crews": 1, "Harbor crews dredge.": 1, "Ships wait.": 1}
+
     def test_empty_signal_rejected(self, fixture_articles, runtime):
         article = dataclasses.replace(fixture_articles[0], headline="  ")
         with pytest.raises(ValueError, match="^internal signal text must be non-empty$"):
@@ -110,7 +118,7 @@ class TestClaim:
         article = dataclasses.replace(fixture_articles[0], headline="museum tunnel orchard", body=body)
         runtime = build_runtime(PipelineConfig(claims_k=k))
         stages = derive_stages(article, PipelineVariant.P1_HEADLINE, runtime)
-        sentences, ranked, distances = rank_sentences(body, stages.signal, runtime.encoder, runtime.abbreviations)
+        sentences, ranked, distances = rank_sentences(body, stages.signal, runtime.encoder)
         assert (stages.ranked, stages.distances) == (ranked, distances)
         return stages.claim, [sentences[i] for i in ranked], body
 

@@ -163,23 +163,22 @@ def test_configless_commands_take_no_config_options(argv):
     assert excinfo.value.code == 2
 
 
-def test_gist_eval_uses_the_abbreviation_guard(tmp_path, capsys):
-    # Only "xyz" is guarded, so "Dr." ends a sentence: the 2-token summary is
-    # "Dr." as in `run`, which matches the reference claim exactly.
-    (tmp_path / "abbreviations.txt").write_text("xyz\n", encoding="utf-8")
+def test_gist_eval_and_run_summarize_alike(tmp_path, capsys):
+    # "Dr." is guarded, so the first sentence has 3 tokens and the 2-token
+    # summary is its first two words; split at "Dr." it would be "Dr." alone.
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(json.dumps({
         "id": "a1", "headline": "Smith leaves", "body": "Dr. Smith spoke. Then he left.",
-        "published": "2017-01-01", "source_domain": "example.com", "raw_label": "true", "claim": "Dr.",
+        "published": "2017-01-01", "source_domain": "example.com", "raw_label": "true", "claim": "Dr. Smith",
     }) + "\n", encoding="utf-8")
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "abbreviations_path": str(tmp_path / "abbreviations.txt"),
-        "summarizer": {"max_tokens": 2},
-    }), encoding="utf-8")
-    argv = ["gist-eval", "--config", str(config), "--corpus", str(corpus), "--dataset", "fixture"]
-    assert main(argv) == 0
+    config.write_text(json.dumps({"summarizer": {"max_tokens": 2}}), encoding="utf-8")
+    common = ["--config", str(config), "--corpus", str(corpus), "--dataset", "fixture"]
+    assert main(["gist-eval", *common]) == 0
     assert f"{'summary:lead':<24}{100.0:>12.2f}{100.0:>12.2f}" in capsys.readouterr().out
+    assert main(["run", "--pipeline", "p2", "--out", str(tmp_path / "records.jsonl"), *common]) == 0
+    [record] = read_records(tmp_path / "records.jsonl")
+    assert record.signal_text == "Dr. Smith"
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from claimcheck.config import (
     ProviderSettings,
     build_provider,
     config_from_dict,
-    load_abbreviation_guard,
     load_config,
     load_credible_list,
 )
@@ -24,7 +23,6 @@ def test_default_config_is_fully_offline():
     assert isinstance(runtime.provider, FixtureSearchProvider)
     assert runtime.encoder.dimension == 256
     assert runtime.summarizer.max_tokens == 180
-    assert runtime.abbreviations is None
     assert runtime.credible.domains  # shipped test list
 
 
@@ -98,11 +96,3 @@ def test_custom_credible_list(tmp_path):
     config = PipelineConfig(credible_list_path=str(path))
     assert load_credible_list(config).domains == frozenset({"trusted.org"})
 
-
-def test_abbreviation_guard_plumbed_through_runtime(tmp_path):
-    path = tmp_path / "abbrev.txt"
-    path.write_text("qq\n", encoding="utf-8")
-    config = PipelineConfig(abbreviations_path=str(path))
-    runtime = build_runtime(config)
-    assert runtime.abbreviations == frozenset({"qq"})
-    assert runtime.summarizer.abbreviations == frozenset({"qq"})

@@ -83,6 +83,18 @@ class TestIngest:
         assert result.skipped_malformed == 1
         assert result.warnings == [f"row 1: null keys ['{key}']"]
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("headline", ["x", "y"]), ("id", {"k": 1}), ("body", []), ("raw_label", ["true"]), ("claim", {"text": "c"}),
+         ("source_domain", ["example.com"])],
+    )
+    def test_object_or_list_value_is_malformed(self, tmp_path, key, value):
+        path = _jsonl(tmp_path / "c.jsonl", [_row(0, **{key: value}), _row(1)])
+        result = ingest(path, DatasetKind.FIXTURE)
+        assert [a.id for a in result.articles] == ["a-1"]
+        assert result.skipped_malformed == 1
+        assert result.warnings == [f"row 1: object or list values for keys ['{key}']"]
+
     def test_number_values_read_as_text(self, tmp_path):
         path = _jsonl(tmp_path / "c.jsonl", [_row(0, id=17)])
         assert ingest(path, DatasetKind.FIXTURE).articles[0].id == "17"

@@ -1,4 +1,5 @@
 import random
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -7,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from claimcheck.corpus import Article, DatasetKind
-from claimcheck.encode import HashedBagEncoder, reference_encode
-from claimcheck.errors import ConfigError, FatalSearchError
+from claimcheck.encode import NO_TOKENS, HashedBagEncoder, reference_encode
+from claimcheck.errors import ConfigError, EncodeError, FatalSearchError
 from claimcheck.evidence import (
     CredibleDomainList,
+    EvidenceArticle,
     Query,
     SearchProvider,
     SearchResult,
@@ -20,6 +22,7 @@ from claimcheck.evidence import (
     is_credible,
     registrable_domain,
     search,
+    select_evidence,
     shift_months,
 )
 from claimcheck.providers import FixtureSearchProvider
@@ -146,12 +149,27 @@ class TestIsCredible:
         allowlist = CredibleDomainList.from_file(path)
         assert allowlist.domains == frozenset({"example.com", "bbc.co.uk"})
 
-    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\x1c"])
+    @pytest.mark.parametrize("separator", ["\r\n", "\x85", "\u2028", "\x1c"])
     def test_from_file_splits_at_line_ends_only(self, tmp_path, separator):
         path = tmp_path / "domains.txt"
         path.write_text(f"bbc.co.uk\r\nreuters.com\rexample.com{separator}npr.org\n", encoding="utf-8")
-        allowlist = CredibleDomainList.from_file(path)
-        assert allowlist.domains == frozenset({"bbc.co.uk", "reuters.com", f"example.com{separator}npr.org"})
+        if separator == "\r\n":
+            allowlist = CredibleDomainList.from_file(path)
+            assert allowlist.domains == frozenset({"bbc.co.uk", "reuters.com", "example.com", "npr.org"})
+        else:  # the entry is not split, so it is one name that is not registrable
+            with pytest.raises(ConfigError, match=re.escape(repr(f"example.com{separator}npr.org"))):
+                CredibleDomainList.from_file(path)
+
+    @pytest.mark.parametrize(
+        "entry, registrable",
+        [("www.reuters.com", "reuters.com"), ("news.bbc.co.uk", "bbc.co.uk"), ("localhost", None), ("10.0.0.1", None)],
+    )
+    def test_from_file_rejects_entries_that_are_not_registrable_domains(self, tmp_path, entry, registrable):
+        path = tmp_path / "domains.txt"
+        path.write_text(f"example.com\n{entry}\n", encoding="utf-8")
+        message = f"credible-list entry {entry!r} is not a registrable domain (registrable form: {registrable!r})"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            CredibleDomainList.from_file(path)
 
     def test_from_file_rejects_scheme(self, tmp_path):
         path = tmp_path / "domains.txt"
@@ -264,6 +282,14 @@ class TestGatherEvidence:
         picked = [(s.article_order, s.sentence_index, s.distance) for s in evidence.sentences]
         assert picked == [(0, 1, 0.0), (1, 1, 0.0), (0, 2, 1.0)]
         assert [s.source_url for s in evidence.sentences] == [f"https://example.com/item-{i}" for i in (0, 1, 0)]
+
+    def test_a_claim_without_tokens_leaves_its_survivors_unscanned(self, backend, token_scans):
+        result = SearchResult("https://example.com/a", "example.com", "t", "Crews dredge. Ships wait.", 1)
+        survivors = (EvidenceArticle(result=result, date_check_applicable=True),)
+        rejected, chosen = select_evidence(["...", "Ships wait."], [survivors, survivors], backend)
+        assert type(rejected) is EncodeError and str(rejected) == NO_TOKENS
+        assert chosen.concatenated == "Ships wait. Crews dredge."
+        assert token_scans == {"...": 1, "Ships wait.": 2, "Crews dredge.": 1}
 
     def test_undated_evidence_fails_window(self, backend, allowlist):
         provider = _provider([_result(0, published=None), _result(1)])

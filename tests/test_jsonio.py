@@ -313,6 +313,7 @@ def test_bad_store_line_is_an_ingest_error(tmp_path, line, message):
         ({"train": {"learning_rate": float("nan")}}, "learning rate must be positive and finite, got nan"),
         ({"train": {"learning_rate": float("inf")}}, "learning rate must be positive and finite, got inf"),
         ({"train": {"split": [0.8, float("nan"), 0.1]}}, r"split must be three non-negative ratios, got \(0.8, nan, 0.1\)"),
+        ({"abbreviations_path": "x"}, r"unknown config keys: \['abbreviations_path'\]"),
     ],
 )
 def test_bad_config_is_a_config_error(data, message):

@@ -57,7 +57,7 @@ class TestRunPipeline:
                     assert record.label is record.gold_label
 
     def test_p1_p2_claim_counts(self, fixture_articles, runtime, records_by_variant):
-        sentences = {a.id: split_sentences(a.body, runtime.abbreviations) for a in fixture_articles}
+        sentences = {a.id: split_sentences(a.body) for a in fixture_articles}
         for variant in (PipelineVariant.P1_HEADLINE, PipelineVariant.P2_SUMMARY):
             for record in records_by_variant[variant]:
                 expected = min(3, len(sentences[record.article_id]))
@@ -70,13 +70,13 @@ class TestRunPipeline:
         articles = {a.id: a for a in fixture_articles}
         for record in records_by_variant[variant]:
             article = articles[record.article_id]
-            sentences = split_sentences(article.body, runtime.abbreviations)
+            sentences = split_sentences(article.body)
             assert sorted(record.ranked) == list(range(len(sentences)))
             keys = list(zip(record.distances, record.ranked))
             assert all(a < b for a, b in zip(keys, keys[1:]))  # closest first, ties by index
             claims = [sentences[i] for i in record.ranked[: runtime.config.claims_k]]
             assert record.claim == " ".join(claims)
-            alone = claimrank.rank_sentences(article.body, record.signal_text, runtime.encoder, runtime.abbreviations)
+            alone = claimrank.rank_sentences(article.body, record.signal_text, runtime.encoder)
             assert alone[0] == sentences
             ranked, distances = alone[1:]
             assert record.ranked == ranked
@@ -236,6 +236,7 @@ def _edge_articles(base, tag):
         dataclasses.replace(base, id=f"{tag}-no-sentence", body="   "),
         dataclasses.replace(base, id=f"{tag}-punctuation-only", body=f"... {base.body}"),
         dataclasses.replace(base, id=f"{tag}-summary-fails", body=f"{base.body} Zzsummaryfail ends it."),
+        dataclasses.replace(base, id=f"{tag}-headline-no-tokens", headline="..."),
     ]
 
 

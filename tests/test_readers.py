@@ -6,7 +6,7 @@ from datetime import date
 
 import pytest
 
-from claimcheck import config, corpus, jsonio, pipeline, providers, textproc
+from claimcheck import config, corpus, jsonio, pipeline, providers
 from claimcheck.errors import ConfigError, FatalSearchError, IngestError
 from claimcheck.evidence import CredibleDomainList
 from claimcheck.veracity import HashedLinearClassifier
@@ -26,11 +26,9 @@ def _cache_get(path):
         (lambda path: corpus.ingest(path, corpus.DatasetKind.SNOPES, "csv"), IngestError),
         (pipeline.read_records, ValueError),
         (corpus.load_store, IngestError),
-        (textproc.load_abbreviations, ConfigError),
         (CredibleDomainList.from_file, ConfigError),
     ],
-    ids=["config", "classifier", "cache", "ingest-jsonl", "ingest-csv", "records", "store", "abbreviations",
-         "credible-list"],
+    ids=["config", "classifier", "cache", "ingest-jsonl", "ingest-csv", "records", "store", "credible-list"],
 )
 def test_non_utf8_file_raises_the_readers_error_naming_the_file(tmp_path, read, error):
     path = tmp_path / "0123abcd.json"
