@@ -109,22 +109,11 @@ def date_window(article_date: date, evidence_date: date, months: int = DEFAULT_W
     return lower <= evidence_date <= upper
 
 
-# Second-level suffixes under which registrable names take one more label.
-# A fixed snapshot of the common cases; a suffix missing here makes its names
-# reduce to the suffix itself.
-_MULTI_LABEL_SUFFIXES = frozenset(
-    {
-        "co.uk", "org.uk", "ac.uk", "gov.uk", "net.uk",
-        "com.au", "net.au", "org.au", "gov.au",
-        "co.jp", "ne.jp", "or.jp", "ac.jp", "go.jp",
-        "co.in", "net.in", "org.in",
-        "co.nz", "net.nz", "org.nz",
-        "com.br", "net.br", "org.br",
-        "com.mx", "com.ar", "com.cn", "net.cn", "org.cn",
-        "com.sg", "com.hk", "com.tw", "com.tr",
-        "co.kr", "or.kr", "co.za", "org.za", "co.il", "org.il",
-    }
-)
+# Second-level labels that, under a two-letter country code, take one more
+# label: "bbc.co.uk", "dawn.com.pk", "pib.gov.in". A rule, not the Public
+# Suffix List, so other country-code layouts (say "city.kawasaki.jp") reduce
+# to their last two labels.
+_SECOND_LEVEL_LABELS = frozenset({"ac", "co", "com", "edu", "go", "gov", "mil", "ne", "net", "or", "org"})
 
 
 def registrable_domain(value: str) -> str | None:
@@ -149,7 +138,9 @@ def registrable_domain(value: str) -> str | None:
         return None
     if all(label.isdigit() for label in labels):
         return None  # IPv4 literal
-    if len(labels) >= 3 and ".".join(labels[-2:]) in _MULTI_LABEL_SUFFIXES:
+    country = labels[-1]
+    if (len(labels) >= 3 and labels[-2] in _SECOND_LEVEL_LABELS
+            and len(country) == 2 and country.isascii() and country.isalpha()):
         return ".".join(labels[-3:])
     return ".".join(labels[-2:])
 

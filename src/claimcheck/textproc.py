@@ -1,12 +1,13 @@
 """Tokenization, sentence segmentation, and unigram/LCS overlap scores.
 
 Everything here is pure and deterministic: no model downloads, no locale
-dependence. The tokenizer lowercases and keeps only alphanumeric runs, so
-scores computed on top of it reproduce across machines.
+dependence. Non-ASCII text follows the interpreter's Unicode database, so
+results reproduce across machines with one ``unicodedata.unidata_version``.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -29,8 +30,6 @@ DEFAULT_ABBREVIATIONS = frozenset(
         "inc", "ltd", "co", "corp", "dept", "univ", "est", "fig", "no",
     }
 )
-
-_TERMINATOR_RE = re.compile(r"[.!?]")
 
 
 def tokenize(text: str) -> TokenSeq:
@@ -75,57 +74,43 @@ def split_sentences(text: str) -> list[str]:
     uppercase letter, or by end of text. A period is not a boundary when the
     word before it is in ``DEFAULT_ABBREVIATIONS``. Only whitespace is
     trimmed, so joining the returned sentences loses no tokens relative to
-    ``tokenize(text)``.
-
-    ASCII text is split by one compiled regex, over twice as fast and equal
-    by construction; other text keeps the ``_is_boundary`` loop, which stays
-    the definition (perfbench text is all ASCII, so it never times the loop).
+    ``tokenize(text)``. Every text is split by one ``_boundary_re`` pattern,
+    whose Unicode letter classes, built for non-ASCII text, equal ASCII's on ASCII.
     """
-    if text.isascii():
-        parts = _ASCII_BOUNDARY_RE.split(text.strip())
-        pairs = iter(parts)  # sentence, terminator, ..., last sentence or ""
-        return [s + t for s, t in zip(pairs, pairs)] + list(filter(None, parts[-1:]))
-    sentences: list[str] = []
-    start = 0
-    for match in _TERMINATOR_RE.finditer(text):
-        i = match.start()
-        if _is_boundary(text, i):
-            piece = text[start : i + 1].strip()
-            if piece:
-                sentences.append(piece)
-            start = i + 1
-    tail = text[start:].strip()
-    if tail:
-        sentences.append(tail)
-    return sentences
+    pattern = _ASCII_BOUNDARY_RE if text.isascii() else _unicode_boundary_re()
+    parts = pattern.split(text.strip())
+    pairs = iter(parts)  # sentence, terminator, ..., last sentence or ""
+    return [s + t for s, t in zip(pairs, pairs)] + list(filter(None, parts[-1:]))
 
 
-# One fixed-width lookbehind per guarded word length. No re.ASCII: \s must
-# match \x1c-\x1f like str.isspace.
-_GUARDS_BY_LENGTH = {len(w): "|".join(v for v in sorted(DEFAULT_ABBREVIATIONS) if len(v) == len(w))
-                     for w in sorted(DEFAULT_ABBREVIATIONS)}
-_ASCII_BOUNDARY_RE = re.compile(
-    "([.!?])" + "".join(f"(?<!(?<![A-Za-z])(?i:{alt})\\.)" for alt in _GUARDS_BY_LENGTH.values()) + r"\s+(?=[A-Z])"
-)
+def _boundary_re(upper: str, alpha: str) -> re.Pattern[str]:
+    """``split_sentences``'s rule over the letter classes ``upper`` and
+    ``alpha``: one fixed-width lookbehind per guarded word length, guard words
+    in ASCII case only (``ſt`` and ``İnc`` do not lowercase to one), and no
+    re.ASCII, so ``\\s`` is ``str.isspace``."""
+    lengths = sorted({len(word) for word in DEFAULT_ABBREVIATIONS})
+    words = ["|".join(sorted(w for w in DEFAULT_ABBREVIATIONS if len(w) == n)) for n in lengths]
+    guards = "".join(f"(?<!(?<![{alpha}])(?ai:{alt})\\.)" for alt in words)
+    return re.compile(f"([.!?]){guards}\\s+(?=[{upper}])")
 
 
-def _is_boundary(text: str, i: int) -> bool:
-    j = i + 1
-    n = len(text)
-    while j < n and text[j].isspace():
-        j += 1
-    if j < n:
-        if j == i + 1:  # terminator glued to the next character
-            return False
-        if not text[j].isupper():
-            return False
-    if text[i] == ".":
-        k = i
-        while k > 0 and text[k - 1].isalpha():
-            k -= 1
-        if text[k:i].lower() in DEFAULT_ABBREVIATIONS:
-            return False
-    return True
+_ASCII_BOUNDARY_RE = _boundary_re("A-Z", "A-Za-z")
+
+
+@functools.cache  # built on the first non-ASCII text, once per process: about 0.25 s
+def _unicode_boundary_re() -> re.Pattern[str]:
+    return _boundary_re(_code_point_class(str.isupper), _code_point_class(str.isalpha))
+
+
+def _code_point_class(predicate) -> str:
+    """The code points where ``predicate`` holds, as ``re`` class ranges."""
+    held = bytes(map(predicate, map(chr, range(0x110000)))) + b"\0"  # every code point, then a stop
+    ranges, lo = [], held.find(1)
+    while lo >= 0:
+        hi = held.find(0, lo)
+        ranges.append(f"{chr(lo)}-{chr(hi - 1)}")
+        lo = held.find(1, hi)
+    return "".join(ranges)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from claimcheck.corpus import VeracityLabel
-from claimcheck.encode import cosine_distance, encode, stable_bucket
+from claimcheck.encode import NO_TOKENS, cosine_distance, encode, stable_bucket
 from claimcheck.errors import ClaimCheckError, EncodeError
 from claimcheck.evidence import (
     EvidenceArticle,
@@ -230,9 +230,10 @@ def record_by_article(article, variant, runtime) -> PipelineRecord:
 
     An input error (a ``ClaimCheckError`` or ``ValueError``) becomes the
     record's ``error``; record fields are filled only once the stage that
-    yields them has finished. The sentences of one ranking, and the
-    candidate sentences of one evidence pool, are scanned for tokens before
-    any of them is encoded. Leaf functions (summarizer, splitter, query
+    yields them has finished. Each text is scanned for tokens once, by this
+    function's own ``has_tokens`` calls: the signal, the claim, and the
+    sentences of one ranking or evidence pool, all before any of those
+    sentences is encoded. Leaf functions (summarizer, splitter, query
     builder, search, filters, distance) are the definitions being composed
     and are reused; the stage loop, ranking sort, claim join and evidence
     pool are written out here.
@@ -263,9 +264,12 @@ def record_by_article(article, variant, runtime) -> PipelineRecord:
             sentences = split_sentences(article.body)
             if not sentences:
                 raise ValueError("article body yields no sentences to rank")
-            signal_vec = encode(encoder, signal)
-            if not all(has_tokens(sentence) for sentence in sentences):
-                raise EncodeError("text has no tokens to encode")
+            if not has_tokens(signal):
+                raise EncodeError(NO_TOKENS)
+            sentences_have_tokens = all(has_tokens(sentence) for sentence in sentences)
+            signal_vec = encode(encoder, signal)  # a bad signal row comes before a sentence without tokens
+            if not sentences_have_tokens:
+                raise EncodeError(NO_TOKENS)
             by_index = [cosine_distance(signal_vec, encode(encoder, sentence)) for sentence in sentences]
             ranked = tuple(sorted(range(len(sentences)), key=lambda i: (by_index[i], i)))
             distances = tuple(by_index[i] for i in ranked)
@@ -287,6 +291,8 @@ def record_by_article(article, variant, runtime) -> PipelineRecord:
                 break
         evidence = EvidenceSet()
         if survivors:
+            if not has_tokens(claim):
+                raise EncodeError(NO_TOKENS)
             claim_vec = encode(encoder, claim)
             candidates = [
                 (order, index, sentence)

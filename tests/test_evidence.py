@@ -118,6 +118,34 @@ class TestRegistrableDomain:
     def test_extraction(self, value, expected):
         assert registrable_domain(value) == expected
 
+    @pytest.mark.parametrize(
+        "value,expected",
+        [
+            ("dawn.com.pk", "dawn.com.pk"),
+            ("www.bangkokpost.co.th", "bangkokpost.co.th"),
+            ("pib.gov.in", "pib.gov.in"),
+            ("news.gov.sg", "news.gov.sg"),
+        ],
+    )
+    def test_second_level_label_under_any_country_code_takes_a_third(self, value, expected):
+        assert registrable_domain(value) == expected
+
+    @pytest.mark.parametrize(
+        "value,expected",
+        [
+            ("www.bbc.co.uk", "bbc.co.uk"),
+            ("sport.abc.net.au", "abc.net.au"),
+            ("a.x.co.jp", "x.co.jp"),
+            ("x.com.br", "x.com.br"),
+            ("co.uk", "co.uk"),  # the suffix alone has no third label to take
+            ("news.co.com", "co.com"),  # "com" is not a two-letter country code
+            ("news.foo.uk", "foo.uk"),  # "foo" is not a second-level label
+            ("reuters.com.mirror-site.net", "mirror-site.net"),
+        ],
+    )
+    def test_other_names_reduce_as_before(self, value, expected):
+        assert registrable_domain(value) == expected
+
 
 class TestIsCredible:
     @pytest.fixture()

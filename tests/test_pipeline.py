@@ -237,6 +237,12 @@ def _edge_articles(base, tag):
         dataclasses.replace(base, id=f"{tag}-punctuation-only", body=f"... {base.body}"),
         dataclasses.replace(base, id=f"{tag}-summary-fails", body=f"{base.body} Zzsummaryfail ends it."),
         dataclasses.replace(base, id=f"{tag}-headline-no-tokens", headline="..."),
+        dataclasses.replace(
+            base,
+            id=f"{tag}-non-ascii",
+            body=f"{base.body} \u201cIt was never built,\u201d she said. \u00c9mile agreed \u2014 twice. "
+            "See \u0130nc. X denied it.",
+        ),
     ]
 
 
@@ -316,8 +322,9 @@ class TestMatchesPerArticleOracle:
 
     @pytest.mark.parametrize("variant", list(PipelineVariant))
     def test_token_scans_cover_every_text_and_no_more(self, variant, mixed_articles, mixed_runtime, monkeypatch):
-        # Scans by run_pipeline are compared with the oracle's, which scans
-        # every text it encodes at least as often as the per-article pipeline did.
+        # run_pipeline scans each text exactly as often as the oracle checks it
+        # by hand: once per ranking or evidence pool that holds it. The check
+        # inside the oracle's ``encode`` calls is the encoder contract, not a scan.
         scans = []
         real = encode.has_tokens
 
@@ -325,16 +332,17 @@ class TestMatchesPerArticleOracle:
             scans[-1][text] += 1
             return real(text)
 
-        for module in (encode, claimrank, evidence, oracles):
-            monkeypatch.setattr(module, "has_tokens", counted, raising=False)
+        for module in (encode, claimrank, evidence):
+            monkeypatch.setattr(module, "has_tokens", counted)
         scans.append(Counter())
         run_pipeline(mixed_articles, variant, mixed_runtime)
+        monkeypatch.setattr(encode, "has_tokens", real)
+        monkeypatch.setattr(oracles, "has_tokens", counted)
         scans.append(Counter())
         for article in mixed_articles:
             record_by_article(article, variant, mixed_runtime)
         by_pipeline, by_oracle = scans
-        assert set(by_pipeline) == set(by_oracle)
-        assert all(by_pipeline[text] <= by_oracle[text] for text in by_oracle)
+        assert by_pipeline == by_oracle
 
 
 class TestRecordsIO:

@@ -1,11 +1,16 @@
+import os
 import random
+import re
+import subprocess
 import sys
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from claimcheck import textproc
 from claimcheck.textproc import (
     DEFAULT_ABBREVIATIONS,
     RougeScore,
@@ -38,6 +43,10 @@ _fragments = st.sampled_from(
         ".", "!", "?", "...", "?!", " ", "  ", "\n", "\t", "\u00a0", '"', "'", "\u201c", "\u201d", "(", ")",
         "Dr", "dr", "Mr", "St", "etc", "No", "no", "U.S", "Fig", "2017", "3.5", "42", "A", "b",
         "The", "said", "Zoe", "\u00c9t\u00e9", "\u00e9l\u00e8ve", "\u0130stanbul", "\u00df",
+        # Where the Unicode classes and the ASCII-only guard words meet: a long s,
+        # a dotted capital I, a titlecase letter, an uppercase letter that is not
+        # alphabetic, a digit that is not decimal, an uncased letter, an astral capital.
+        "\u017ft", "\u0130nc", "\u01c5", "\u24b6", "\u00b2", "\u4e2d", "\U0001d400",
     ]
 )
 _terminator_dense = st.lists(_fragments, max_size=60).map("".join)
@@ -135,7 +144,7 @@ class TestSplitSentences:
         guarded = case(word)
         assert split_sentences(f"See {guarded}. X") == [f"See {guarded}. X"]
         # A letter glued before the word makes another word; a digit does not.
-        # The accented text takes the character loop instead of the regex.
+        # The accented text takes the Unicode classes instead of the ASCII ones.
         texts = [f"{guarded}. X", f"1{guarded}. X", f"a{guarded}. X", f"See {guarded}. X. Y{guarded}. Z"]
         for text in [*texts, f"\u00c9t\u00e9 {guarded}. X", f"\u00e9{guarded}. X"]:
             assert split_sentences(text) == split_sentences_by_scanning(text), repr(text)
@@ -154,6 +163,69 @@ class TestSplitSentences:
     @given(st.one_of(_terminator_dense, _ascii_dense, _ascii_prose, _text_strategy))
     def test_matches_character_scan(self, text):
         assert split_sentences(text) == split_sentences_by_scanning(text)
+
+    @pytest.mark.parametrize(
+        "text, sentences",
+        [
+            ("See \u017ft. X \u00e9", ["See \u017ft.", "X \u00e9"]),  # "\u017ft" lowercases to itself, not to "st"
+            ("See \u0130nc. X", ["See \u0130nc.", "X"]),  # "\u0130nc" lowercases to "i\u0307nc", not to "inc"
+            ("Ab. \u01c5x \u00e9", ["Ab. \u01c5x \u00e9"]),  # titlecase, not uppercase
+            ("Ab. \u24b6x", ["Ab.", "\u24b6x"]),  # uppercase but not alphabetic
+            ("\u24b6dr. X \u00e9", ["\u24b6dr. X \u00e9"]),  # so it does not lengthen the guarded word
+            ("\u00b2dr. X", ["\u00b2dr. X"]),
+            ("\u4e2dst. X", ["\u4e2dst.", "X"]),  # alphabetic, uncased: "\u4e2dst" is not a guarded word
+            ("Ab. \U0001d400x", ["Ab.", "\U0001d400x"]),
+            ("Ab.\x85Cd \u00e9", ["Ab.", "Cd \u00e9"]),  # U+0085 is whitespace to str.isspace
+        ],
+    )
+    def test_unicode_probes_match_character_scan(self, text, sentences):
+        assert not text.isascii()
+        assert split_sentences(text) == sentences == split_sentences_by_scanning(text)
+
+    @given(
+        st.characters(),
+        st.sampled_from(
+            [
+                "Ab. {}x \u00e9", "Ab.{}Cd \u00e9", "Ab. {} Cd \u00e9", "{}dr. X \u00e9", "See {}t. X \u00e9",
+                "See {}nc. X \u00e9", "Ab{}. Cd \u00e9", "Ab{} Cd \u00e9", "Ab. Cd \u00e9{}",
+            ]
+        ),
+    )
+    def test_any_character_in_a_boundary_context_matches_character_scan(self, ch, context):
+        text = context.format(ch)
+        assert split_sentences(text) == split_sentences_by_scanning(text)
+
+    def test_unicode_classes_are_exactly_the_str_predicates(self):
+        pattern = textproc._unicode_boundary_re().pattern
+        upper = re.search(r"\(\?=\[(.*)\]\)\Z", pattern, re.S).group(1)
+        (alpha,) = set(re.findall(r"\(\?<!\[(.*?)\]\)", pattern, re.S))  # one per guarded word length
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        for cls, predicate in ((upper, str.isupper), (alpha, str.isalpha)):
+            assert re.findall(f"[{cls}]", every) == list(filter(predicate, every))
+
+    @given(st.one_of(_ascii_dense, _ascii_prose))
+    def test_both_patterns_split_ascii_text_alike(self, text):
+        unicode_re = textproc._unicode_boundary_re()
+        assert unicode_re.split(text) == textproc._ASCII_BOUNDARY_RE.split(text)
+
+    def test_import_and_ascii_text_build_no_unicode_class(self):
+        script = "\n".join(
+            [
+                "import sys",
+                "calls = []",
+                "sys.setprofile(lambda frame, event, arg: event == 'call' and calls.append(frame.f_code.co_name))",
+                "from claimcheck import textproc",
+                "textproc.split_sentences('Dr. A met B. C left.')",
+                "sys.setprofile(None)",
+                "assert '_code_point_class' not in calls",
+                "textproc.split_sentences('\\u00c9mile left. He came.')",
+                "textproc.split_sentences('Then \\u00c9mile left.')",
+                "assert textproc._unicode_boundary_re.cache_info().misses == 1",
+            ]
+        )
+        src = str(Path(textproc.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
     @given(_ascii_prose)
     def test_token_conservation(self, text):
