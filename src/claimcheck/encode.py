@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import INPUT_ERRORS, EncodeError
-from .textproc import TokenSeq, has_tokens, tokenize
+from .textproc import has_tokens, tokenize_batch
 
 Embedding = np.ndarray
 
@@ -48,9 +48,9 @@ class HashedFeaturizer(dict):
     classifier instance and lives as long as its owner. A key's value
     depends only on the token, so a warm table gives the same rows as a
     cold one, whatever was encoded before. Row ``i`` is bit-identical to
-    accumulating one count per token of ``token_lists[i]`` and dividing by
-    the counts' L2 norm: counts are integers, so the sum of squares is
-    exact whatever the summation order.
+    accumulating one count per token of ``texts[i]`` and dividing by the
+    counts' L2 norm: counts are integers, so the sum of squares is exact
+    whatever the summation order.
     """
 
     def __init__(self, dimension: int, seed: int):
@@ -62,16 +62,19 @@ class HashedFeaturizer(dict):
         bucket = self[token] = stable_bucket(token, self.seed, self.dimension)
         return bucket
 
-    def unit_rows(self, token_lists: Sequence[TokenSeq]) -> np.ndarray:
-        """``(len(token_lists), dimension)`` float64; an empty list gives a zero row."""
-        n, d = len(token_lists), self.dimension
-        lengths = [len(tokens) for tokens in token_lists]
-        flat = np.fromiter(map(self.__getitem__, chain.from_iterable(token_lists)), np.intp, sum(lengths))
-        flat += np.repeat(np.arange(0, n * d, d, dtype=np.intp), lengths)
-        counts = np.bincount(flat, minlength=n * d).reshape(n, d)
-        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts).astype(np.float64))
-        rows = counts.astype(np.float64)
-        return np.divide(rows, norms[:, None], out=rows, where=norms[:, None] > 0.0)
+    def bucket_ids(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Every token's bucket, text by text in token order, and each text's token count."""
+        tokens, counts = tokenize_batch(texts)
+        return np.fromiter(map(self.__getitem__, tokens), np.intp, len(tokens)), counts
+
+    def unit_rows(self, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Unit rows from ``ids`` cut into runs of ``counts`` (none: a zero row), nonzero cells only."""
+        n, d = len(counts), self.dimension
+        cells, hits = np.unique(np.repeat(np.arange(0, n * d, d), counts) + ids, return_counts=True)
+        owner, hits = cells // d, hits.astype(np.float64)
+        rows = np.zeros(n * d)
+        rows[cells] = hits / np.sqrt(np.bincount(owner, weights=hits * hits, minlength=n))[owner]
+        return rows.reshape(n, d)
 
 
 class EncoderBackend(ABC):
@@ -108,10 +111,10 @@ class HashedBagEncoder(EncoderBackend):
         self._featurizer = HashedFeaturizer(self.dimension, self.seed)
 
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
-        token_lists = [tokenize(text) for text in texts]
-        if not all(token_lists):
+        ids, counts = self._featurizer.bucket_ids(texts)
+        if not counts.all():
             raise EncodeError(NO_TOKENS)
-        return self._featurizer.unit_rows(token_lists)
+        return self._featurizer.unit_rows(ids, counts)
 
 
 def reference_encode(text: str, dimension: int = 256, seed: int = 0) -> Embedding:

@@ -45,7 +45,7 @@ from .evidence import (
     select_evidence,
 )
 from .summarize import SummarizerBackend, summarize
-from .textproc import rouge1, rouge_l, tokenize
+from .textproc import KEPT_SPLITS, forget_splits, rouge1, rouge_l, tokenize
 from .veracity import HashedLinearClassifier, LabeledText, featurize_concat, featurize_content, predict_texts
 
 # Unused here. perfbench's tracer wraps functions at their import sites,
@@ -56,7 +56,7 @@ from .evidence import gather_evidence  # noqa: F401, E402  # isort: skip
 logger = logging.getLogger(__name__)
 
 RECORD_SCHEMA = "pipeline-record.v2"  # v1 files still read
-BLOCK_ARTICLES = 128  # articles per stage-major block (see run_pipeline); not a setting
+BLOCK_ARTICLES = KEPT_SPLITS  # articles per stage-major block (see run_pipeline); not a setting
 
 
 class PipelineVariant(str, Enum):
@@ -84,6 +84,7 @@ class PipelineRuntime:
 
 
 def build_runtime(config: PipelineConfig, provider: SearchProvider | None = None) -> PipelineRuntime:
+    forget_splits()  # an earlier runtime's kept texts would otherwise pin memory under this one's
     return PipelineRuntime(
         config=config,
         encoder=build_encoder(config.encoder),

@@ -12,6 +12,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -46,6 +49,19 @@ def tokenize(text: str) -> TokenSeq:
     return _TOKEN_RE.findall(text.lower())
 
 
+def tokenize_batch(texts: Sequence[str]) -> tuple[TokenSeq, np.ndarray]:
+    """``[tokenize(t) for t in texts]`` flattened, and each text's token count; one split for an ASCII batch."""
+    joined = " ".join(texts)
+    if not joined.isascii():
+        lists = [tokenize(text) for text in texts]
+        return [token for tokens in lists for token in tokens], np.fromiter(map(len, lists), np.intp, len(texts))
+    data = b" " + joined.encode("ascii").translate(_ASCII_TOKEN_TABLE)
+    spaces = np.frombuffer(data, np.uint8) == 32
+    starts = np.flatnonzero(spaces[:-1] > spaces[1:])  # a space, then a token byte
+    ends = np.cumsum(np.fromiter(map(len, texts), np.intp, len(texts)) + 1)  # each text and its separator
+    return data.decode("ascii").split(), np.diff(np.searchsorted(starts, ends), prepend=0)
+
+
 def has_tokens(text: str) -> bool:
     """``bool(tokenize(text))``; ``.lower()`` never changes whether ``[^\\W_]`` matches."""
     return _TOKEN_RE.search(text) is not None
@@ -67,6 +83,11 @@ def list_entries(path: str | Path) -> list[str]:
     return [entry for entry in entries if entry]
 
 
+# Texts whose splits are kept. It is also ``pipeline.BLOCK_ARTICLES``: p2
+# splits a block's bodies twice, to summarize and then to rank them.
+KEPT_SPLITS = 128
+
+
 def split_sentences(text: str) -> list[str]:
     """Split ``text`` into sentences.
 
@@ -76,7 +97,18 @@ def split_sentences(text: str) -> list[str]:
     trimmed, so joining the returned sentences loses no tokens relative to
     ``tokenize(text)``. Every text is split by one ``_boundary_re`` pattern,
     whose Unicode letter classes, built for non-ASCII text, equal ASCII's on ASCII.
+    The last ``KEPT_SPLITS`` texts' splits are kept, and each call returns a new list.
     """
+    return _split_sentences(text).copy()
+
+
+def forget_splits() -> None:
+    """Drop the kept splits; ``build_runtime`` does, so each runtime's texts die with it."""
+    _split_sentences.cache_clear()
+
+
+@functools.lru_cache(maxsize=KEPT_SPLITS)
+def _split_sentences(text: str) -> list[str]:
     pattern = _ASCII_BOUNDARY_RE if text.isascii() else _unicode_boundary_re()
     parts = pattern.split(text.strip())
     pairs = iter(parts)  # sentence, terminator, ..., last sentence or ""

@@ -24,7 +24,6 @@ from . import jsonio
 from .corpus import VeracityLabel
 from .encode import HashedFeaturizer
 from .errors import ConfigError
-from .textproc import tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -37,7 +36,7 @@ SNAPSHOT_FORMAT = "classifier-snapshot.v1"
 
 DEFAULT_CONTENT_WORDS = 500
 
-# Rows featurized at once: bounds the count matrices behind each step of
+# Rows featurized at once: bounds the token lists behind each step of
 # ``featurize`` and the feature rows held while scoring a long text list.
 CHUNK_ROWS = 64
 
@@ -148,7 +147,7 @@ class HashedLinearClassifier:
         rows = np.empty((len(texts), self.dimension))
         for start in range(0, len(texts), CHUNK_ROWS):
             chunk = texts[start : start + CHUNK_ROWS]
-            rows[start : start + len(chunk)] = self._featurizer.unit_rows([tokenize(text) for text in chunk])
+            rows[start : start + len(chunk)] = self._featurizer.unit_rows(*self._featurizer.bucket_ids(chunk))
         return rows
 
     def features(self, text: str) -> np.ndarray:

@@ -168,7 +168,7 @@ class TestBatchedEncoding:
     def test_token_table_agrees_with_stable_bucket(self, texts, setting):
         seed, dimension = setting
         featurizer = HashedFeaturizer(dimension, seed)
-        featurizer.unit_rows([tokenize(text) for text in texts])
+        featurizer.unit_rows(*featurizer.bucket_ids(texts))
         assert set(featurizer) == {token for text in texts for token in tokenize(text)}
         for token, bucket in featurizer.items():
             assert bucket == stable_bucket(token, seed, dimension)
@@ -197,7 +197,8 @@ class TestBatchedEncoding:
         assert all(b == stable_bucket(t, 5, 128) for t, b in shared._featurizer.items())
 
     def test_empty_token_list_gives_a_zero_row(self):
-        rows = HashedFeaturizer(16, 0).unit_rows([[], ["a"]])
+        featurizer = HashedFeaturizer(16, 0)
+        rows = featurizer.unit_rows(*featurizer.bucket_ids(["...", "a"]))
         assert not rows[0].any()
         assert np.linalg.norm(rows[1]) == 1.0
 
@@ -236,6 +237,39 @@ class TestBatchedEncoding:
             encode_rows(Broken(), ["text", "more"])
         (pair,) = encode_pairs(Broken(), ["text"], [["more"]])
         assert isinstance(pair, EncodeError) and message in str(pair)
+
+
+_ascii_texts = st.lists(
+    st.text(alphabet=st.sampled_from("abcdeXYZ019 .,!?"), min_size=1, max_size=60).filter(has_tokens),
+    min_size=1,
+    max_size=12,
+)
+
+
+_batches = st.lists(st.one_of(_ascii_texts, _texts), min_size=1, max_size=5)
+
+
+class TestOnePassRows:
+    @given(_batches, st.sampled_from(_SETTINGS))
+    def test_warm_rows_are_cold_rows_bit_for_bit(self, batches, setting):
+        seed, dimension = setting
+        warm = HashedBagEncoder(dimension=dimension, seed=seed)
+        # Every batch again in reverse, and all texts in one batch: texts seen
+        # before, in other batches and orders, next to new ones.
+        everything = [text for texts in batches for text in texts]
+        for texts in [*batches, *(texts[::-1] for texts in batches), everything[::-1]]:
+            rows = warm.encode_batch(texts)
+            assert rows.tobytes() == HashedBagEncoder(dimension=dimension, seed=seed).encode_batch(texts).tobytes()
+            for text, row in zip(texts, rows):
+                assert np.array_equal(row, hashed_bag_by_loop(text, dimension, seed))
+
+    def test_repeated_text_in_one_batch(self):
+        backend = HashedBagEncoder(dimension=64, seed=0)
+        rows = backend.encode_batch(["x y", "z", "x y"])
+        assert rows[0].tobytes() == rows[2].tobytes() == reference_encode("x y", dimension=64).tobytes()
+
+    def test_empty_batch(self):
+        assert HashedBagEncoder(dimension=64, seed=0).encode_batch([]).shape == (0, 64)
 
 
 class _Faulty(HashedBagEncoder):

@@ -5,16 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from claimcheck import claimrank, encode, evidence
+from claimcheck import claimrank, encode, evidence, textproc
 from claimcheck.corpus import VeracityLabel
 from claimcheck.encode import HashedBagEncoder
 from claimcheck.errors import PipelineError, RetryableSearchError
 from claimcheck.evidence import SearchProvider
 from claimcheck import pipeline as pipeline_module
+from claimcheck.config import PipelineConfig
 from claimcheck.pipeline import (
     PipelineVariant,
     annotate_predictions,
     build_examples,
+    build_runtime,
     read_records,
     records_label_distribution,
     run_gist_experiment,
@@ -167,6 +169,34 @@ class TestBatchResilience:
         dead_runtime = dataclasses.replace(runtime, provider=Dead())
         with pytest.raises(PipelineError, match="every article failed"):
             run_pipeline(fixture_articles, PipelineVariant.P1_HEADLINE, dead_runtime)
+
+
+def test_a_new_runtime_keeps_no_earlier_split(fixture_articles):
+    # The split memo is per process; a runtime must not keep a dropped one's texts alive.
+    split_sentences(fixture_articles[0].body)
+    assert textproc._split_sentences.cache_info().currsize > 0
+    build_runtime(PipelineConfig())
+    assert textproc._split_sentences.cache_info().currsize == 0
+
+
+def test_p2_ranks_each_body_from_its_kept_split(fixture_articles):
+    # p2 splits a block's bodies to summarize them and again to rank them; the
+    # second split must be a lookup, in every block. Nothing else is split:
+    # the searches find nothing.
+    class Nothing(SearchProvider):
+        name = "nothing"
+
+        def search(self, query_text):
+            return []
+
+    count = pipeline_module.BLOCK_ARTICLES + 3
+    articles = [
+        dataclasses.replace(a, id=f"a{i}", body=f"{a.body} Copy {i} ends here.")
+        for i, a in enumerate(fixture_articles[i % 12] for i in range(count))
+    ]
+    run_pipeline(articles, PipelineVariant.P2_SUMMARY, build_runtime(PipelineConfig(), provider=Nothing()))
+    info = textproc._split_sentences.cache_info()
+    assert (info.misses, info.hits) == (count, count)
 
 
 def test_programming_error_propagates(fixture_articles, runtime):

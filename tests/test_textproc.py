@@ -19,6 +19,7 @@ from claimcheck.textproc import (
     rouge_l,
     split_sentences,
     tokenize,
+    tokenize_batch,
 )
 from oracles import (
     clipped_unigram_overlap,
@@ -118,6 +119,42 @@ class TestTokenize:
             for ch in token:
                 assert not ch.isupper()
                 assert unicodedata.category(ch)[0] not in ("P", "Z", "S", "C")
+
+
+# Texts for the one-pass tokenizer: empty and whitespace-only texts, NUL and
+# other control bytes, punctuation-only texts, and glued ASCII tokens.
+_ascii_batch_text = st.one_of(
+    st.sampled_from(["", " ", "   ", "\t\n", "\x00", "a\x00b", "\x1c\x1f\x7f", "...", "?!", "-_-", "A1b2"]),
+    st.text(alphabet=st.characters(max_codepoint=127), max_size=40),
+    _ascii_dense,
+)
+_batch_text = st.one_of(_ascii_batch_text, st.text(max_size=40), _terminator_dense)
+
+
+class TestTokenizeBatch:
+    def _check(self, texts):
+        tokens, counts = tokenize_batch(texts)
+        per_text = [tokenize(text) for text in texts]
+        assert counts.tolist() == [len(t) for t in per_text]
+        assert tokens == [token for t in per_text for token in t]
+
+    @given(st.lists(_ascii_batch_text, max_size=12))
+    def test_ascii_batch_matches_tokenize_per_text(self, texts):
+        self._check(texts)
+
+    @given(st.lists(_batch_text, max_size=12))
+    def test_mixed_batch_matches_tokenize_per_text(self, texts):
+        self._check(texts)
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            [], [""], ["", ""], ["  ", "a"], ["a", "  "], ["\x00", "x\x00y"], ["...", "!?"],
+            ["caf\u00e9 au lait", "Plain"],
+        ],
+    )
+    def test_edge_batches(self, texts):
+        self._check(texts)
 
 
 class TestSplitSentences:
@@ -226,6 +263,14 @@ class TestSplitSentences:
         src = str(Path(textproc.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+    def test_a_returned_list_is_the_callers_own(self):
+        for text in ("One here. Two there.", "\u00c9mile left. He came."):
+            first = split_sentences(text)
+            first.append("Extra.")
+            first[0] = "Changed."
+            assert split_sentences(text) == split_sentences_by_scanning(text)
+            assert split_sentences(text) is not split_sentences(text)
 
     @given(_ascii_prose)
     def test_token_conservation(self, text):
