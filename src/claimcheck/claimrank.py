@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .encode import NO_TOKENS, EncoderBackend, cosine_distance, encode_pairs
-from .encode import encode  # noqa: F401  (unused; perfbench's tracer wraps ``claimrank.encode``)
+import numpy as np
+
+from .encode import NO_TOKENS, EncoderBackend, clamped_distance, encode_pairs
+from .encode import cosine_distance, encode  # noqa: F401  (unused; perfbench's tracer wraps ``claimrank.<name>``)
 from .errors import EncodeError, unwrap
 from .textproc import has_tokens, split_sentences
 
@@ -22,16 +24,26 @@ def nearest_first(heads: Sequence[str], tails: Sequence[Sequence[str]], backend:
     ``tails[i]``, closest to ``heads[i]`` first (ties by position), and their
     distances in that order. Head and tail texts must have tokens, so callers
     check a head before they scan its tail; an entry ``encode_pairs`` fails
-    gets its error. One ``encode_batch`` covers the heads, one the tails.
+    gets its error. One ``encode_batch`` covers the heads, one the tails;
+    one ``np.vecdot`` per entry fills the block's one array of dot products,
+    and one clamp and one stable ``np.lexsort`` rank every entry.
     """
-    results: list = []
-    for tail, pair in zip(tails, encode_pairs(backend, heads, tails)):
-        if not isinstance(pair, Exception):
-            # (distance, position) pairs, so ties break by position.
-            order = sorted(zip(cosine_distance(*pair), range(len(tail))))
-            distances, positions = zip(*order) if order else ((), ())
-            pair = tail, positions, distances
-        results.append(pair)
+    results = encode_pairs(backend, heads, tails)
+    ranked = [i for i, pair in enumerate(results) if not isinstance(pair, Exception)]
+    sizes = np.fromiter((len(tails[i]) for i in ranked), np.intp, len(ranked))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    spans = list(zip(ranked, starts.tolist(), ends.tolist()))
+    dots = np.empty(sizes.sum())
+    for i, lo, hi in spans:
+        np.vecdot(*results[i], out=dots[lo:hi])
+    distances = clamped_distance(dots)
+    owner = np.repeat(np.arange(len(ranked)), sizes)
+    # Sorted by owner first, row k still belongs to owner[k]; stable, so ties keep position order.
+    order = np.lexsort((distances, owner))
+    positions, distances = (order - starts[owner]).tolist(), distances[order].tolist()
+    for i, lo, hi in spans:
+        results[i] = tails[i], tuple(positions[lo:hi]), tuple(distances[lo:hi])
     return results
 
 

@@ -131,6 +131,25 @@ def encode_rows(backend, texts) -> np.ndarray:
     return matrix
 
 
+def nearest_first_by_sorting(backend, heads, tails) -> list:
+    """``nearest_first`` entry by entry: the head through ``encode``, its
+    tail's rows through ``encode_rows``, one ``np.dot`` per row, and a sort
+    of ``(distance, position)`` pairs, so ties keep position order. An entry
+    whose encoding breaks the contract is the ``EncodeError`` it raises alone.
+    """
+    out: list = []
+    for head, tail in zip(heads, tails):
+        try:
+            head_vec, rows = encode(backend, head), encode_rows(backend, tail)
+        except EncodeError as exc:
+            out.append(exc)
+            continue
+        distances = [min(2.0, max(0.0, 1.0 - float(np.dot(head_vec, row)))) for row in rows]
+        ranked = sorted(zip(distances, range(len(tail))))
+        out.append((tail, tuple(position for _, position in ranked), tuple(d for d, _ in ranked)))
+    return out
+
+
 def lead_by_counting_words(body: str, max_tokens: int) -> str:
     """The lead summary by walking the body's words in order, counting
     tokens one word at a time.

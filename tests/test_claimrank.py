@@ -3,13 +3,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from claimcheck.claimrank import rank_block, rank_sentences
+from claimcheck.claimrank import nearest_first, rank_block, rank_sentences
 from claimcheck.config import PipelineConfig
 from claimcheck.encode import NO_TOKENS, HashedBagEncoder, reference_encode
 from claimcheck.errors import EncodeError
 from claimcheck.pipeline import PipelineVariant, build_runtime, derive_stages
 from claimcheck.textproc import split_sentences
+from oracles import nearest_first_by_sorting
 
 _VOCAB = [
     "council", "harbor", "budget", "library", "bridge", "transit", "school",
@@ -108,6 +111,51 @@ class TestRankSentences:
         article = dataclasses.replace(fixture_articles[0], headline="  ")
         with pytest.raises(ValueError, match="^internal signal text must be non-empty$"):
             derive_stages(article, PipelineVariant.P1_HEADLINE, runtime)
+
+
+class _Breaking(HashedBagEncoder):
+    """Breaks the embedding contract on rows whose text holds the word
+    ``nan`` (a NaN entry) or ``double`` (twice a unit row)."""
+
+    name = "breaking"
+
+    def encode_batch(self, texts):
+        rows = super().encode_batch(texts)
+        for row, words in zip(rows, (text.split() for text in texts)):
+            if "nan" in words:
+                row[0] = np.nan
+            if "double" in words:
+                row *= 2.0
+        return rows
+
+
+def _plain(entry):
+    """An entry of ``nearest_first`` with its distances as exact hex strings."""
+    if isinstance(entry, Exception):
+        return type(entry), str(entry)
+    tail, positions, distances = entry
+    return list(tail), positions, [distance.hex() for distance in distances]
+
+
+# Few words in short texts, so tails repeat sentences and distances tie often.
+_text = st.lists(st.sampled_from(["harbor", "budget", "ferry", "audit", "nan", "double"]), min_size=1, max_size=3)
+_block = st.lists(st.tuples(_text.map(" ".join), st.lists(_text.map(" ".join), max_size=8)), max_size=6)
+# A tail longer than an insertion sort's cutoff whose ties an unstable sort reorders.
+_TIED = ("harbor", ["ferry audit", "budget", "ferry audit", "harbor audit"] * 8)
+
+
+@pytest.mark.parametrize(
+    "backend", [HashedBagEncoder(dimension=256, seed=0), _Breaking(dimension=8, seed=1)], ids=["hashed", "breaking"]
+)
+@given(block=_block)
+@example(block=[])
+@example(block=[("harbor", []), ("budget", ["ferry", "ferry", "budget"]), ("audit", [])])
+@example(block=[_TIED, ("double", ["harbor"]), ("ferry", ["budget", "nan ferry"]), _TIED])
+def test_nearest_first_is_the_sorting_oracle_per_entry(backend, block):
+    heads, tails = [head for head, _ in block], [tail for _, tail in block]
+    got = list(map(_plain, nearest_first(heads, tails, backend)))
+    assert got == list(map(_plain, nearest_first_by_sorting(backend, heads, tails)))
+    assert got == [_plain(nearest_first([head], [tail], backend)[0]) for head, tail in block]
 
 
 class TestClaim:

@@ -20,6 +20,7 @@ from claimcheck.encode import (
     reference_encode,
     stable_bucket,
 )
+from claimcheck.encode import _fault
 from claimcheck.errors import EncodeError
 from claimcheck.textproc import has_tokens, tokenize
 from oracles import encode_rows, hashed_bag_by_loop
@@ -331,6 +332,42 @@ class TestEncodePairs:
         assert all(isinstance(pair, EncodeError) and message in str(pair) for pair in pairs)
 
 
+def _unit(d, hot=0):
+    row = np.zeros(d)
+    row[hot] = 1.0
+    return row
+
+
+class TestContractCheck:
+    """``_fault``'s verdicts where one pass of row norms cannot clear the array."""
+
+    BACKEND = HashedBagEncoder(dimension=8, seed=0)
+
+    @pytest.mark.parametrize(
+        "array,verdict",
+        [
+            pytest.param(np.full(8, 1e200), "returned a non-unit vector", id="finite-but-norm-overflows"),
+            pytest.param(np.array([_unit(8), np.r_[np.inf, np.zeros(7)]]), "returned non-finite entries", id="inf"),
+            pytest.param(np.array([np.r_[np.nan, np.zeros(7)], 2.0 * _unit(8)]), "returned non-finite entries",
+                         id="nan-row-before-non-unit-row"),
+            pytest.param(np.array([_unit(8, 1), 3.0 * _unit(8)]), "returned a non-unit vector", id="non-unit"),
+            pytest.param(_unit(8, 3), None, id="unit-vector"),
+            pytest.param(np.array([_unit(8, 2), np.full(8, 8 ** -0.5)]), None, id="unit-rows"),
+        ],
+    )
+    def test_verdict(self, array, verdict):
+        with np.errstate(over="ignore"):  # 1e200 squared is inf, and numpy warns
+            fault = _fault(self.BACKEND, array, array.shape)
+        if verdict is None:
+            assert fault is None
+        else:
+            assert type(fault) is EncodeError and str(fault) == f"backend 'hashed' {verdict}"
+
+    def test_shape_comes_first(self):
+        fault = _fault(self.BACKEND, np.full((1, 4), np.nan), (1, 8))
+        assert str(fault) == "backend 'hashed' returned shape (1, 4), expected (1, 8)"
+
+
 class TestCosineDistance:
     def test_matrix_gives_the_per_row_distances(self, backend):
         signal = _row(backend, "alpha bravo charlie")
@@ -342,6 +379,9 @@ class TestCosineDistance:
         distances = cosine_distance(np.array([1.0, 0.0]), rows)
         assert distances[:3] == [0.0, 2.0, 0.5]
         assert np.isnan(distances[3])
+
+    def test_a_vector_keeps_nan_as_a_matrix_row_does(self):
+        assert np.isnan(cosine_distance(np.array([1.0, 0.0]), np.array([np.nan, 0.0])))
 
     def test_matrix_dimension_mismatch(self):
         with pytest.raises(ValueError):
