@@ -17,7 +17,7 @@ import copy
 import logging
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -200,27 +200,6 @@ class PipelineRecord:
             raise ValueError("ranked and distances must both be null, or lists of one length")
 
 
-# A stored evidence article is its search result's fields, minus the body
-# (full bodies are not persisted), next to the article's own fields.
-_OWN_KEYS = frozenset(f.name for f in fields(EvidenceArticle)) - {"result"}
-
-
-def _flat_evidence_article(evidence_article: EvidenceArticle) -> dict:
-    # Both are plain dataclasses, so an instance's attributes are its fields.
-    flat = {**vars(evidence_article.result), **vars(evidence_article)}
-    del flat["result"], flat["body"]
-    return flat
-
-
-def _nested_evidence_article(flat: dict) -> dict:
-    if type(flat) is not dict:
-        raise ValueError(f"expected an object, got {type(flat).__name__}")
-    nested = {key: flat.pop(key) for key in _OWN_KEYS if key in flat}
-    flat["body"] = ""
-    nested["result"] = flat
-    return nested
-
-
 @dataclass(frozen=True)
 class _RankedSentence:  # one entry of a v1 ranking: v1 stored each ranked sentence's text
     index: int
@@ -238,7 +217,7 @@ def _upgraded(data):
     """A v1 record's stored form in v2 form; any other value as it is."""
     if type(data) is dict and data.get("schema") == "pipeline-record.v1":
         data["schema"] = RECORD_SCHEMA
-        ranked = _RECORDS.plan(_V1Ranking)({k: data.pop(k) for k in ("ranked", "distances") if k in data}).ranked
+        ranked = _RECORDS.reader(_V1Ranking)({k: data.pop(k) for k in ("ranked", "distances") if k in data}).ranked
         if ranked is not None:
             ranked = sorted(ranked, key=lambda s: s.rank)
             data["ranked"], data["distances"] = [s.index for s in ranked], [s.distance for s in ranked]
@@ -247,7 +226,10 @@ def _upgraded(data):
 
 _RECORDS = jsonio.Codec(
     tags={PipelineRecord: ("schema", RECORD_SCHEMA)},
-    custom={EvidenceArticle: (_flat_evidence_article, _nested_evidence_article), PipelineRecord: (None, _upgraded)},
+    # A stored evidence article is its search result's fields, minus the body
+    # (full bodies are not persisted), next to the article's own fields.
+    inline={EvidenceArticle: ("result", {"body": ""})},
+    reshape={PipelineRecord: _upgraded},
 )
 
 

@@ -66,13 +66,16 @@ def summarize(backend: SummarizerBackend, body: str) -> str:
     """Run a backend and enforce its ``max_tokens`` budget.
 
     The bound is hard: an over-long summary is truncated and logged, never
-    passed through.
+    passed through. The lead rule counts tokens as it takes sentences, so
+    its summaries are not counted again.
     """
     if not body or not body.strip():
         raise SummarizeError("cannot summarize an empty body")
     out = backend.summarize(body)
     if not out or not out.strip():
         raise SummarizeError(f"backend {backend.name!r} produced an empty summary")
+    if type(backend) is LeadSummarizer:
+        return out
     count = len(tokenize(out))
     if count > backend.max_tokens:
         logger.warning(

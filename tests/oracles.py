@@ -7,7 +7,13 @@ the oracles share no code with the implementations they check.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import json
+import types
+import typing
 from datetime import date, timedelta
+from enum import Enum
 
 import numpy as np
 
@@ -23,7 +29,8 @@ from claimcheck.evidence import (
     is_credible,
     search,
 )
-from claimcheck.pipeline import PipelineRecord, PipelineVariant
+from claimcheck.jsonio import parse_date
+from claimcheck.pipeline import RECORD_SCHEMA, PipelineRecord, PipelineVariant
 from claimcheck.summarize import summarize
 from claimcheck.textproc import DEFAULT_ABBREVIATIONS, has_tokens, split_sentences, tokenize
 
@@ -339,3 +346,164 @@ def record_by_article(article, variant, runtime) -> PipelineRecord:
     except (ClaimCheckError, ValueError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
     return record
+
+
+# The reference codec that jsonio's generated writers and readers must agree
+# with: the C encoder with a ``default=`` hook that gives each dataclass its
+# field form, and a decoder that loops over each class's fields.
+
+
+def field_form(obj):
+    """A dataclass's or date's stored form, for the C encoder to write."""
+    if type(obj) is EvidenceArticle:  # its result's fields, minus the body, next to its own
+        flat = {**vars(obj.result), **vars(obj)}
+        del flat["result"], flat["body"]
+        return flat
+    if dataclasses.is_dataclass(type(obj)):
+        form = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init}
+        return {**form, "schema": RECORD_SCHEMA} if type(obj) is PipelineRecord else form
+    if isinstance(obj, date):
+        return obj.isoformat()
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
+
+
+canonical_json_by_encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=field_form).encode
+
+
+class _Invalid(ValueError):
+    def __init__(self, problem, unknown=None):
+        super().__init__(problem)
+        self.unknown, self.path = unknown, []
+
+
+_SCALARS = {str: (str,), int: (int,), float: (float, int), bool: (bool,)}
+_MISSING = object()
+
+
+class LoopDecoder:
+    """Stored forms to dataclasses, one closure per type that loops over the
+    fields; ``tags`` and ``reshape`` as in ``jsonio.Codec``."""
+
+    def __init__(self, tags=None, reshape=None):
+        self.tags, self.reshape = dict(tags or {}), dict(reshape or {})
+        self.plan = functools.cache(self._plan)
+
+    def read_line(self, cls, line: str, label: str):
+        """The value of one JSON line, or the message a reader gives for line 1."""
+        try:
+            return self.plan(cls)(json.loads(line))
+        except (TypeError, ValueError) as exc:
+            path = ".".join(reversed(getattr(exc, "path", [])))
+            if getattr(exc, "unknown", None) is None:
+                return f"{label} line 1: bad {label}{f' field {path!r}' if path else ''}: {exc}"
+            unknown = f"unknown keys in {label} field {path!r}" if path else f"unknown {label} keys"
+            return f"{label} line 1: {unknown}: {exc.unknown}"
+
+    def _plan(self, hint):
+        if typing.get_origin(hint) is tuple:
+            (item_hint,) = {a for a in typing.get_args(hint) if a is not Ellipsis}
+            item, kinds = self.plan(item_hint), _SCALARS.get(item_hint, ())
+
+            def decode_tuple(value):
+                if type(value) not in (list, tuple):
+                    raise TypeError(f"expected a list, got {type(value).__name__}")
+                if item is not None:
+                    return tuple(map(item, value))
+                for index, entry in enumerate(value):
+                    if type(entry) not in kinds:
+                        raise TypeError(f"item {index}: expected {kinds[0].__name__}, got {type(entry).__name__}")
+                return tuple(value)
+
+            return decode_tuple
+        if dataclasses.is_dataclass(hint):
+            return self._dataclass(hint)
+        if isinstance(hint, type) and issubclass(hint, Enum):
+            return {member.value: member for member in hint}.__getitem__
+        if hint is date:
+            return parse_date
+        if hint in _SCALARS:
+            return None
+        raise TypeError(f"no JSON form for {hint!r}")
+
+    def _dataclass(self, cls):
+        hints = typing.get_type_hints(cls)
+        stored = [f.name for f in dataclasses.fields(cls) if f.init]
+        tag_key, tag_value = self.tags.get(cls, (None, None))
+        reshape = self.reshape.get(cls)
+        scalars, converters = [], []
+        for name in stored:
+            hint = hints[name]
+            nullable = typing.get_origin(hint) in (typing.Union, types.UnionType)
+            if nullable:
+                (hint,) = set(typing.get_args(hint)) - {type(None)}
+            convert = self.plan(hint)
+            if convert is None:
+                scalars.append((name, _SCALARS[hint] + (object,) + ((type(None),) if nullable else ())))
+            else:
+                converters.append((name, convert, nullable))
+
+        def decode(data):
+            if reshape is not None:
+                data = reshape(data)
+            if type(data) is not dict:
+                raise _Invalid(f"expected an object, got {type(data).__name__}")
+            if tag_key and (tag := data.pop(tag_key, None)) != tag_value:
+                raise _Invalid(f"unsupported {tag_key} {tag!r}")
+            name = None
+            try:
+                for name, kinds in scalars:
+                    if type(data.get(name, _MISSING)) not in kinds:
+                        raise TypeError(f"expected {kinds[0].__name__}, got {type(data[name]).__name__}")
+                for name, convert, nullable in converters:
+                    value = data.get(name)
+                    if value is not None or (not nullable and name in data):
+                        data[name] = convert(value)
+                name = None
+                return cls(**data)
+            except (KeyError, TypeError, ValueError) as exc:
+                if unknown := sorted(data.keys() - stored):
+                    raise _Invalid("unknown keys", unknown) from None
+                invalid = exc if isinstance(exc, _Invalid) else _Invalid(str(exc))
+                invalid.path += [name] if name else []
+                raise invalid from None
+
+        return decode
+
+
+@dataclasses.dataclass(frozen=True)
+class _RankedSentence:
+    index: int
+    text: str
+    distance: float
+    rank: int
+
+
+@dataclasses.dataclass(frozen=True)
+class _V1Ranking:
+    ranked: tuple[_RankedSentence, ...] | None = None
+
+
+def _nested_evidence_article(flat):
+    if type(flat) is not dict:
+        raise ValueError(f"expected an object, got {type(flat).__name__}")
+    nested = {key: flat.pop(key) for key in ("date_check_applicable", "passed_filters") if key in flat}
+    flat["body"] = ""
+    nested["result"] = flat
+    return nested
+
+
+def _upgraded_record(data):
+    if type(data) is dict and data.get("schema") == "pipeline-record.v1":
+        data["schema"] = RECORD_SCHEMA
+        ranked = RECORDS_BY_LOOPS.plan(_V1Ranking)({k: data.pop(k) for k in ("ranked", "distances") if k in data}).ranked
+        if ranked is not None:
+            ranked = sorted(ranked, key=lambda s: s.rank)
+            data["ranked"], data["distances"] = [s.index for s in ranked], [s.distance for s in ranked]
+    return data
+
+
+RECORDS_BY_LOOPS = LoopDecoder(
+    tags={PipelineRecord: ("schema", RECORD_SCHEMA)},
+    reshape={EvidenceArticle: _nested_evidence_article, PipelineRecord: _upgraded_record},
+)
+PLAIN_BY_LOOPS = LoopDecoder()

@@ -12,7 +12,9 @@ import errno
 import functools
 import io
 import json
+import math
 import tracemalloc
+from datetime import date
 from pathlib import Path
 from unittest import mock
 
@@ -21,13 +23,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from claimcheck import jsonio
+from claimcheck import pipeline as pipeline_module
 from claimcheck.cli import main
-from claimcheck.config import config_from_dict
+from claimcheck.config import (
+    ClassifierSettings,
+    EncoderSettings,
+    PipelineConfig,
+    ProviderSettings,
+    SummarizerSettings,
+    config_from_dict,
+)
 from claimcheck.corpus import Article, DatasetKind, VeracityLabel, load_store, save_store
 from claimcheck.errors import ConfigError, IngestError
 from claimcheck.evidence import EvidenceArticle, EvidenceSentence, EvidenceSet, SearchResult
 from claimcheck.pipeline import PipelineRecord, PipelineVariant, read_records, write_records
-from claimcheck.veracity import HashedLinearClassifier
+from claimcheck.veracity import HashedLinearClassifier, TrainConfig
+from oracles import PLAIN_BY_LOOPS, RECORDS_BY_LOOPS, canonical_json_by_encoder
 
 texts = st.text(max_size=30)
 optional_texts = st.none() | texts
@@ -141,6 +152,171 @@ def test_records_roundtrip(tmp_path_factory, items, timings):
     again = path.with_name("again.jsonl")
     write_records(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+# Values whose text the generated writers must give exactly as the C encoder
+# does, among them values of another type than their field's hint, which the
+# writers hand to the C encoder: a str enum member is a str, an int enum
+# member or a bool an int, an int or a bool may sit where a float is declared.
+wide_texts = texts | st.sampled_from(["naïve café", "\u2028\x85", "\ud800", "😀", "\x00\x1f\x7f", '"q" \\ / {}%'])
+str_values = wide_texts | st.sampled_from(PipelineVariant) | st.sampled_from(DatasetKind)
+int_values = st.integers() | st.integers(min_value=2**63) | st.booleans() | st.sampled_from(VeracityLabel)
+float_values = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]) | st.integers() | st.booleans()
+wide_labels = st.none() | st.sampled_from(VeracityLabel) | st.integers(0, 3)
+wide_dates = st.none() | st.dates() | st.datetimes()
+
+
+def _lists_of(values):
+    return st.lists(values, max_size=4).map(tuple) | st.lists(values, max_size=4)
+
+
+wide_evidence = st.builds(
+    EvidenceSet,
+    articles=_lists_of(
+        st.builds(
+            EvidenceArticle,
+            result=st.builds(
+                SearchResult, url=str_values, domain=str_values, title=str_values, body=str_values,
+                provider_rank=int_values, published=wide_dates,
+            ),
+            date_check_applicable=st.booleans(),
+            passed_filters=st.booleans() | int_values,
+        )
+    ),
+    sentences=_lists_of(
+        st.builds(
+            EvidenceSentence, text=str_values, distance=float_values, source_url=str_values,
+            article_order=int_values, sentence_index=int_values,
+        )
+    ),
+    concatenated=str_values,
+)
+wide_records = st.builds(
+    _record,
+    ranking=st.none() | st.tuples(st.lists(st.tuples(int_values, float_values), max_size=4), st.sampled_from([tuple, list])).map(
+        lambda drawn: (drawn[1](i for i, _ in drawn[0]), drawn[1](d for _, d in drawn[0]))
+    ),
+    article_id=str_values,
+    variant=st.sampled_from(PipelineVariant) | st.sampled_from(["p1", "x"]),
+    gold_label=wide_labels,
+    label=wide_labels,
+    signal_kind=st.none() | str_values,
+    signal_text=st.none() | str_values,
+    claim=st.none() | str_values,
+    query=st.none() | str_values,
+    article_date_missing=st.booleans(),
+    evidence=st.none() | wide_evidence,
+    predicted_label=wide_labels,
+    predicted_probabilities=st.none() | _lists_of(float_values),
+    error=st.none() | str_values,
+)
+wide_articles = st.builds(
+    Article, id=str_values, headline=str_values, body=str_values, dataset=st.sampled_from(DatasetKind),
+    raw_label=str_values, published=wide_dates, source_domain=st.none() | str_values, label=wide_labels,
+    claim=st.none() | str_values,
+)
+positive_ints = st.integers(min_value=1) | st.just(2**70)
+wide_configs = st.builds(
+    PipelineConfig,
+    encoder=st.builds(EncoderSettings, dimension=int_values, seed=int_values),
+    summarizer=st.builds(SummarizerSettings, max_tokens=int_values),
+    classifier=st.builds(
+        ClassifierSettings, dimension=int_values, seed=int_values, learning_rate=float_values,
+        batch_size=st.none() | int_values,
+    ),
+    provider=st.builds(
+        ProviderSettings, kind=str_values, fixture_path=st.none() | str_values, endpoint=st.none() | str_values,
+        api_key_env=str_values, cache_dir=st.none() | str_values,
+        requests_per_second=st.floats(min_value=0) | st.integers(min_value=0),  # +inf is allowed
+        timeout=st.floats(min_value=0, exclude_min=True) | positive_ints,
+    ),
+    train=st.builds(
+        TrainConfig, epochs=positive_ints, seed=int_values,
+        split=st.sampled_from([(0.8, 0.1, 0.1), (1, 0, 0), (1.0, -0.0, 0), (0.25, 0.5, 0.25)]),
+        learning_rate=st.floats(min_value=1e-300, max_value=1e300) | positive_ints,
+    ),
+    credible_list_path=st.none() | str_values,
+    claims_k=positive_ints,
+    query_word_limit=positive_ints,
+    date_window_months=st.integers(min_value=0),
+    max_search_results=positive_ints,
+    max_evidence_articles=positive_ints,
+    max_evidence_sentences=positive_ints,
+    seed=int_values,
+)
+
+
+@pytest.mark.parametrize(
+    "codec, values",
+    [(pipeline_module._RECORDS, wide_records), (jsonio.CODEC, wide_articles), (jsonio.CODEC, wide_configs)],
+    ids=["records", "store", "config"],
+)
+@given(data=st.data())
+def test_writer_text_is_the_encoders(codec, values, data):
+    value = data.draw(values)
+    assert codec.dumps(value) == canonical_json_by_encoder(value)
+
+
+def test_writer_text_of_a_value_no_hint_describes():
+    # A dataclass or date inside a field of another type goes to the C encoder, which asks the writer.
+    article = Article(id="a", headline="h", body="b", dataset=DatasetKind.FIXTURE, raw_label="true")
+    record = _record(None, article_id=[article, date(2020, 1, 2)], variant=PipelineVariant.P1_HEADLINE)
+    assert pipeline_module._RECORDS.dumps(record) == canonical_json_by_encoder(record)
+    with pytest.raises(TypeError, match="no JSON form for object"):
+        jsonio.CODEC.dumps({"x": object()})
+
+
+# A wrong-typed value, planted in a stored form that reads.
+_WRONG_VALUES = [None, True, 0, -1, 2.5, "x", "p9", "2020-13-01", [], [1], ["x"], [None], [[]], {}, {"k": 1}]
+
+
+def _paths(value, path=()) -> list[tuple]:
+    children = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+    return [p for key, child in children for p in _paths(child, path + (key,))] + [path]  # the root last
+
+
+def _planted(data, stored: dict) -> str:
+    """``stored`` as a JSON line, with one value at a random path replaced or deleted, or one key added."""
+    path = data.draw(st.sampled_from(_paths(stored)))
+    wrong = data.draw(st.sampled_from(_WRONG_VALUES))
+    owner = functools.reduce(lambda value, key: value[key], path[:-1], stored)
+    value = owner[path[-1]] if path else stored
+    change = data.draw(st.sampled_from(["replace", "add", "delete"] if type(owner) is dict and path else ["replace", "add"]))
+    if change == "add" and type(value) is dict:
+        value[data.draw(st.sampled_from(["bogus", "body", "schema", "timings"]))] = wrong
+    elif change == "delete":
+        del owner[path[-1]]
+    elif path:
+        owner[path[-1]] = wrong
+    else:
+        stored = wrong
+    return json.dumps(stored)
+
+
+def _first_or_error(read, path):
+    try:
+        return read(path)[0]
+    except (ValueError, IngestError) as exc:
+        return str(exc)
+
+
+_V1_LINES = (Path(__file__).parent / "data" / "records_p1.v1.jsonl").read_text(encoding="utf-8").splitlines()
+
+
+@given(st.one_of(records.map(canonical_json_by_encoder), st.sampled_from(_V1_LINES)), st.data())
+def test_record_reader_errors_are_the_loop_decoders(tmp_path_factory, line, data):
+    line = _planted(data, json.loads(line))
+    path = tmp_path_factory.mktemp("planted") / "records.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert _first_or_error(read_records, path) == RECORDS_BY_LOOPS.read_line(PipelineRecord, line, "record")
+
+
+@given(articles.map(canonical_json_by_encoder), st.data())
+def test_store_reader_errors_are_the_loop_decoders(tmp_path_factory, line, data):
+    line = _planted(data, json.loads(line))
+    path = tmp_path_factory.mktemp("planted") / "store.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert _first_or_error(load_store, path) == PLAIN_BY_LOOPS.read_line(Article, line, "store")
 
 
 def _record_line(**changes) -> dict:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from claimcheck import summarize as summarize_module
 from claimcheck.errors import SummarizeError
 from claimcheck.summarize import (
     LeadSummarizer,
@@ -75,6 +76,24 @@ class TestSummarizeWrapper:
         with caplog.at_level(logging.WARNING):
             out = summarize(Verbose(), "Some body text.")
         assert len(tokenize(out)) == 180
+        assert "truncating" in caplog.text
+
+    def test_lead_summary_is_not_tokenized_again(self, monkeypatch):
+        # The lead rule counts each sentence's tokens as it takes it; its summary is within budget.
+        seen = []
+        monkeypatch.setattr(summarize_module, "tokenize", lambda text: seen.append(text) or tokenize(text))
+        body = " ".join(_sentence(20, t) for t in ("a", "b", "c"))
+        assert summarize(LeadSummarizer(), body) == body
+        assert seen == split_sentences(body)
+
+    def test_over_budget_lead_subclass_is_truncated(self, caplog):
+        class Padded(LeadSummarizer):
+            def summarize(self, body):
+                return super().summarize(body) + " extra words"
+
+        with caplog.at_level(logging.WARNING):
+            out = summarize(Padded(max_tokens=20), _sentence(20, "a"))
+        assert out == _sentence(20, "a")
         assert "truncating" in caplog.text
 
     def test_empty_body_rejected(self):
