@@ -67,14 +67,19 @@ class HashedFeaturizer(dict):
         tokens, counts = tokenize_batch(texts)
         return np.fromiter(map(self.__getitem__, tokens), np.intp, len(tokens)), counts
 
-    def unit_rows(self, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Unit rows from ``ids`` cut into runs of ``counts`` (none: a zero row), nonzero cells only."""
+    def unit_cells(self, ids: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero cells of ``unit_rows(ids, counts)``: flat indices, ascending, and their values."""
         n, d = len(counts), self.dimension
         cells, hits = np.unique(np.repeat(np.arange(0, n * d, d), counts) + ids, return_counts=True)
         owner, hits = cells // d, hits.astype(np.float64)
-        rows = np.zeros(n * d)
-        rows[cells] = hits / np.sqrt(np.bincount(owner, weights=hits * hits, minlength=n))[owner]
-        return rows.reshape(n, d)
+        return cells, hits / np.sqrt(np.bincount(owner, weights=hits * hits, minlength=n))[owner]
+
+    def unit_rows(self, ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Unit rows from ``ids`` cut into runs of ``counts`` (none: a zero row), nonzero cells only."""
+        cells, values = self.unit_cells(ids, counts)
+        rows = np.zeros((len(counts), self.dimension))
+        rows.ravel()[cells] = values
+        return rows
 
 
 class EncoderBackend(ABC):

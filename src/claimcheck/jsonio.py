@@ -24,12 +24,15 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
 
-def replace_text(path: str | Path, text: str) -> None:
-    """Write ``path`` via a temp file of its own beside it: a failed write leaves ``path`` as it was."""
+def replace_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or its pieces as they come, to ``path`` via a temp file of its own
+    beside it: a failed write, or a failing source of pieces, leaves ``path`` as it was."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.part")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with tmp.open("w", encoding="utf-8") as out:  # as ``Path.write_text`` opens it
+            for piece in (text,) if isinstance(text, str) else text:
+                out.write(piece)
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -202,7 +205,7 @@ class Codec:
 
     def write_lines(self, objs: Iterable[Any], path: str | Path) -> None:
         dumps = self.dumps
-        replace_text(path, "".join([dumps(obj) + "\n" for obj in objs]))
+        replace_text(path, (dumps(obj) + "\n" for obj in objs))
 
     def read_lines(self, cls: type, path: str | Path, label: str, error: type[Exception] = ValueError) -> list:
         """Read each non-blank line of ``path`` as it comes; a bad line raises ``error``."""

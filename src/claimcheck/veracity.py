@@ -37,7 +37,7 @@ SNAPSHOT_FORMAT = "classifier-snapshot.v1"
 DEFAULT_CONTENT_WORDS = 500
 
 # Rows featurized at once: bounds the token lists behind each step of
-# ``featurize`` and the feature rows held while scoring a long text list.
+# ``featurize`` and the feature rows held while scoring or training.
 CHUNK_ROWS = 64
 
 
@@ -178,9 +178,9 @@ class HashedLinearClassifier:
         delta /= n
         return loss, delta.T @ features, delta.sum(axis=0)
 
-    def train_epoch(self, features: np.ndarray, labels: np.ndarray) -> float:
-        """One pass over the rows; returns the example-weighted mean of the
-        per-batch losses, each measured before that batch's update."""
+    def train_epoch(self, features: np.ndarray | _Rows, labels: np.ndarray) -> float:
+        """One pass over the rows, taken as slices of ``features``; returns the example-weighted
+        mean of the per-batch losses, each measured before that batch's update."""
         n = len(features)
         if not n:
             raise ValueError("cannot train on an empty batch")
@@ -281,6 +281,32 @@ def label_accuracy(backend: HashedLinearClassifier, examples: Sequence[LabeledTe
     return _hit_rate(predict_texts(backend, [ex.text for ex in examples]), _labels(examples))
 
 
+class _Rows:
+    """The feature rows of a text list, hashed once and kept as each chunk's nonzero cells;
+    a chunk is densified, by a scatter, when a slice within it is taken."""
+
+    def __init__(self, featurizer: HashedFeaturizer, texts: Sequence[str], chunk: int):
+        self._len, self._chunk, self._at, self._cells = len(texts), chunk, -1, []
+        for start in range(0, len(texts), chunk):
+            ids, counts = featurizer.bucket_ids(texts[start : start + chunk])
+            self._cells.append(((len(counts), featurizer.dimension), *featurizer.unit_cells(ids, counts)))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        at, start = divmod(rows.start, self._chunk)
+        if at != self._at:
+            shape, cells, values = self._cells[at]
+            self._at, self._rows = at, np.zeros(shape)
+            self._rows.ravel()[cells] = values
+        return self._rows[start : start + rows.stop - rows.start]
+
+    def __iter__(self):
+        for start in range(0, self._len, self._chunk):
+            yield from self[start : start + self._chunk]
+
+
 def train(
     backend: HashedLinearClassifier,
     train_set: Sequence[LabeledText],
@@ -289,9 +315,11 @@ def train(
 ) -> TrainResult:
     """Run exactly ``config.epochs`` epochs; keep the best-validation snapshot.
 
-    Both sets are featurized once, before the first epoch. The backend is
-    left holding the snapshot with the highest validation label accuracy
-    (earliest epoch wins ties).
+    Both sets are featurized once, before the first epoch. An epoch densifies
+    one chunk of whole minibatches at a time: ``CHUNK_ROWS`` rounded up to a
+    multiple of the batch size, or the whole set for a full-batch step, whose
+    gemm a split would change. The backend is left holding the snapshot with
+    the highest validation label accuracy (earliest epoch wins ties).
     """
     if not train_set:
         raise ValueError("training set is empty")
@@ -301,8 +329,9 @@ def train(
     if len(classes) == 1:
         logger.warning("training set contains a single class (%s)", next(iter(classes)).name)
 
-    train_features, train_labels = backend.featurize([ex.text for ex in train_set]), _labels(train_set)
-    val_features, val_labels = backend.featurize([ex.text for ex in validation_set]), _labels(validation_set)
+    chunk = -(-CHUNK_ROWS // step) * step if (step := backend.batch_size) else len(train_set)
+    train_features, train_labels = _Rows(backend._featurizer, [ex.text for ex in train_set], chunk), _labels(train_set)
+    val_features, val_labels = _Rows(backend._featurizer, [ex.text for ex in validation_set], CHUNK_ROWS), _labels(validation_set)
     log: list[EpochStats] = []
     best_params: dict | None = None
     best_epoch = 0

@@ -368,6 +368,34 @@ class TestContractCheck:
         assert str(fault) == "backend 'hashed' returned shape (1, 4), expected (1, 8)"
 
 
+def _dense_unit(seed, shape):
+    rows = np.random.default_rng(seed).normal(size=shape)
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+
+_EDGE_BACKEND = HashedBagEncoder(dimension=256, seed=0)
+
+
+@pytest.mark.parametrize(
+    "array,verdicts",
+    [
+        pytest.param(_EDGE_BACKEND.encode_batch(["the quick brown fox jumps over the lazy dog"])[0],
+                     "uuuuxxxxxxxxxuuuuu", id="hashed-vector"),
+        pytest.param(_EDGE_BACKEND.encode_batch(["alpha bravo", "charlie delta echo",
+                                                 "one two three four five six seven eight nine ten"]),
+                     "uuuuxxxxxxxxxxuuuu", id="hashed-matrix"),
+        pytest.param(_dense_unit(0, 256), "uuuuxxxxxxxxuuuuuu", id="dense-vector"),
+        pytest.param(_dense_unit(1, (8, 256)), "uuuuxxxxxxxxxxuuuu", id="dense-matrix"),
+    ],
+)
+def test_contract_verdicts_at_the_tolerance_edge(array, verdicts):
+    """Unit rows scaled to 1 + 1e-9 and 1 - 1e-9, each -4 to +4 ulps: "u" passes, "x" is a non-unit fault."""
+    scales = [base + k * np.spacing(base) for base in (1.0 + 1e-9, 1.0 - 1e-9) for k in range(-4, 5)]
+    faults = [_fault(_EDGE_BACKEND, array * scale, array.shape) for scale in scales]
+    assert all(f is None or str(f) == "backend 'hashed' returned a non-unit vector" for f in faults)
+    assert "".join("u" if f is None else "x" for f in faults) == verdicts
+
+
 class TestCosineDistance:
     def test_matrix_gives_the_per_row_distances(self, backend):
         signal = _row(backend, "alpha bravo charlie")

@@ -158,7 +158,7 @@ def test_records_roundtrip(tmp_path_factory, items, timings):
 # does, among them values of another type than their field's hint, which the
 # writers hand to the C encoder: a str enum member is a str, an int enum
 # member or a bool an int, an int or a bool may sit where a float is declared.
-wide_texts = texts | st.sampled_from(["naïve café", "\u2028\x85", "\ud800", "😀", "\x00\x1f\x7f", '"q" \\ / {}%'])
+wide_texts = texts | st.sampled_from(["naïve café", "\u2028\x85", "\ud800", "\U0001f600", "\x00\x1f\x7f", '"q" \\ / {}%'])
 str_values = wide_texts | st.sampled_from(PipelineVariant) | st.sampled_from(DatasetKind)
 int_values = st.integers() | st.integers(min_value=2**63) | st.booleans() | st.sampled_from(VeracityLabel)
 float_values = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]) | st.integers() | st.booleans()
@@ -562,11 +562,113 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, write, old, new)
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]  # no temp file left behind
 
 
+class _FullOnWrite:
+    """A text file whose ``k``-th ``write`` fails as a full disk does; the writes before it succeed."""
+
+    def __init__(self, file, k):
+        self._file, self._left = file, k
+
+    def write(self, text):
+        self._left -= 1
+        if not self._left:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._file.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._file.close()
+
+
+_STREAMED_WRITES = pytest.mark.parametrize(
+    "write, old, new",
+    [
+        (write_records, _OLD_RECORD, dataclasses.replace(_OLD_RECORD, article_id="new")),
+        (save_store, _OLD_ARTICLE, dataclasses.replace(_OLD_ARTICLE, id="new")),
+    ],
+    ids=["records", "store"],
+)
+
+
+@_STREAMED_WRITES
+def test_source_that_fails_midway_keeps_the_old_file(tmp_path, write, old, new):
+    path = tmp_path / "out.jsonl"
+    write([old], path)
+    before = path.read_bytes()
+
+    def failing_source():
+        yield from [new] * 400
+        # Lines already sit in the temp file: they are written as they come, not joined first.
+        assert [p.stat().st_size > 0 for p in tmp_path.iterdir() if p.name.endswith(".part")] == [True]
+        raise RuntimeError("the source failed")
+
+    with pytest.raises(RuntimeError, match="the source failed"):
+        write(failing_source(), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+@_STREAMED_WRITES
+@pytest.mark.parametrize("k", [1, 2, 37])
+def test_disk_that_fills_on_the_kth_write_keeps_the_old_file(tmp_path, monkeypatch, write, old, new, k):
+    path = tmp_path / "out.jsonl"
+    write([old], path)
+    before = path.read_bytes()
+    real_open = Path.open
+    monkeypatch.setattr(Path, "open", lambda self, *args, **kwargs: _FullOnWrite(real_open(self, *args, **kwargs), k))
+    with pytest.raises(OSError) as excinfo:
+        write([new] * 50, path)
+    monkeypatch.undo()
+    assert excinfo.value.errno == errno.ENOSPC
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+_ODD_TEXTS = ["plain", "\xe9 \xfc \xdf", "a\u2028b\u2029c", "\U0001f600", "\x85 next line", "tab\tcr\rnew\nline", "crlf\r\n", ""]
+
+
+@pytest.mark.parametrize(
+    "codec, write, values",
+    [
+        (pipeline_module._RECORDS, write_records, [dataclasses.replace(_OLD_RECORD, article_id=t, claim=t) for t in _ODD_TEXTS]),
+        (jsonio.CODEC, save_store, [dataclasses.replace(_OLD_ARTICLE, id=t, body=t) for t in _ODD_TEXTS]),
+    ],
+    ids=["records", "store"],
+)
+def test_streamed_write_has_the_bytes_of_write_text(tmp_path, codec, write, values):
+    write(values, tmp_path / "streamed")
+    (tmp_path / "whole").write_text("".join(codec.dumps(value) + "\n" for value in values), encoding="utf-8")
+    assert (tmp_path / "streamed").read_bytes() == (tmp_path / "whole").read_bytes()
+
+
+@given(pieces=st.lists(st.sampled_from(_ODD_TEXTS) | st.text(max_size=20), max_size=8))
+def test_replace_text_of_pieces_has_the_bytes_of_write_text(tmp_path_factory, pieces):
+    folder = tmp_path_factory.mktemp("pieces")
+    jsonio.replace_text(folder / "streamed", iter(pieces))
+    jsonio.replace_text(folder / "string", "".join(pieces))
+    (folder / "whole").write_text("".join(pieces), encoding="utf-8")
+    assert (folder / "streamed").read_bytes() == (folder / "string").read_bytes() == (folder / "whole").read_bytes()
+
+
+def test_write_records_holds_about_one_line(tmp_path):
+    base = read_records(Path(__file__).parent / "data" / "records_p1.v1.jsonl")
+    records = [dataclasses.replace(base[i % len(base)], article_id=f"a-{i}") for i in range(2000)]
+    path = tmp_path / "records.jsonl"
+    tracemalloc.start()
+    try:
+        write_records(records, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Joining the lines first would hold the file's text about twice over.
+    assert peak < path.stat().st_size / 4
+
 # jsonio.load: json.loads of a file; a fixture-search file is decoded a chunk at a time.
 
 _SPACES = st.sampled_from(["", " ", "\n", "\r\n", "\t", "\n    "])
 # Text a guessed cut can land in: brackets, commas, quotes, escapes and non-ASCII.
-_PIECES = [",", "}", "]", "{", "[", '"', "\\", ":", '], "', "é", "\xa0", " ", "😀", "\n", "a", " "]
+_PIECES = [",", "}", "]", "{", "[", '"', "\\", ":", '], "', "é", "\xa0", " ", "\U0001f600", "\n", "a", " "]
 _NUMBERS = st.one_of(
     st.integers(-(10**20), 10**20).map(str),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),

@@ -1,13 +1,14 @@
 import logging
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from claimcheck.corpus import VeracityLabel
-from claimcheck.encode import stable_bucket
+from claimcheck.encode import HashedFeaturizer, stable_bucket
 from claimcheck.errors import ConfigError
 from claimcheck.veracity import (
     NO_EVIDENCE,
@@ -414,9 +415,10 @@ class TestMatrixContract:
         expected = score_predictions([ex.label for ex in examples], predicted)
         assert np.array_equal(evaluate(backend, examples).confusion, expected.confusion)
 
-    @pytest.mark.parametrize("batch_size", [8, None])
+    @pytest.mark.parametrize("batch_size", [1, 3, 8, 64, None])
     @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_train=st.integers(1, 150), n_val=st.integers(1, 70))
+    @given(seed=st.integers(0, 2**32 - 1), n_train=st.integers(1, 300), n_val=st.integers(1, 70))
+    @example(seed=0, n_train=203, n_val=70)  # three whole chunks, then a partial one ending on a partial minibatch
     def test_train_equals_refeaturizing_every_epoch(self, batch_size, seed, n_train, n_val):
         rng = random.Random(seed)
         train_set, val_set = _random_examples(rng, n_train), _random_examples(rng, n_val)
@@ -429,14 +431,25 @@ class TestMatrixContract:
         assert np.array_equal(result.params["weights"], params["weights"])
         assert np.array_equal(result.params["bias"], params["bias"])
 
-    def test_train_featurizes_each_set_once(self):
-        class Spy(HashedLinearClassifier):
-            def featurize(self, texts):
-                calls.append(list(texts))
-                return super().featurize(texts)
-
+    def test_train_featurizes_each_set_once(self, monkeypatch):
+        # Every text is tokenized and hashed once over all epochs, training texts first.
         calls = []
+        real = HashedFeaturizer.bucket_ids
+        monkeypatch.setattr(HashedFeaturizer, "bucket_ids", lambda self, texts: calls.append(list(texts)) or real(self, texts))
         rng = random.Random(4)
-        train_set, val_set = _random_examples(rng, 90), _random_examples(rng, 30)
-        train(Spy(dimension=64), train_set, val_set, TrainConfig(epochs=3))
-        assert calls == [[ex.text for ex in train_set], [ex.text for ex in val_set]]
+        train_set, val_set = _random_examples(rng, 200), _random_examples(rng, 90)
+        train(HashedLinearClassifier(dimension=64), train_set, val_set, TrainConfig(epochs=3))
+        assert [text for texts in calls for text in texts] == [ex.text for ex in train_set + val_set]
+
+    def test_train_holds_sparse_cells_and_one_chunk_of_rows(self):
+        rng = random.Random(5)
+        train_set, val_set = _random_examples(rng, 3000), _random_examples(rng, 300)
+        backend = HashedLinearClassifier(dimension=1024, seed=0, batch_size=8)
+        dense_bytes = len(train_set) * backend.dimension * 8  # the float64 training matrix, 24.6 MB
+        tracemalloc.start()
+        try:
+            train(backend, train_set, val_set, TrainConfig(epochs=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 4
