@@ -19,11 +19,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from claimcheck import fixtures  # noqa: E402
 from claimcheck.config import PipelineConfig  # noqa: E402
-from claimcheck.corpus import DatasetKind, VeracityLabel, ingest, normalize_articles  # noqa: E402
+from claimcheck.corpus import DatasetKind, VeracityLabel, ingest, label_distribution, normalize_articles  # noqa: E402
 from claimcheck.pipeline import (  # noqa: E402
     PipelineVariant,
     build_runtime,
-    records_label_distribution,
     run_pipeline,
     write_records,
 )
@@ -45,7 +44,7 @@ def main() -> int:
         records = run_pipeline(articles, variant, runtime)
         out = args.out_dir / f"records_{variant.value}.jsonl"
         write_records(records, out)
-        distributions[variant.value] = records_label_distribution(records)
+        distributions[variant.value] = label_distribution(records)
         print(f"{variant.value}: {len(records)} records -> {out}")
 
     print()

@@ -32,7 +32,6 @@ from .pipeline import (
     build_examples,
     build_runtime,
     read_records,
-    records_label_distribution,
     run_gist_experiment,
     run_pipeline,
     write_records,
@@ -102,7 +101,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     records = run_pipeline(articles, variant, runtime)
     out = args.out or f"records_{variant.value}.jsonl"
     write_records(records, out)
-    counts = records_label_distribution(records)
+    counts = label_distribution(records)
     errors = sum(1 for r in records if r.error)
     print(f"{len(records)} records -> {out}")
     for label, count in counts.items():
@@ -163,16 +162,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if args.records:
-        records = read_records(args.records)
-        counts, skipped = records_label_distribution(records), sum(1 for r in records if r.label is None)
-    else:
-        counts, skipped = label_distribution(_load_corpus(args.corpus, args.dataset)), 0
+    items = read_records(args.records) if args.records else _load_corpus(args.corpus, args.dataset)
+    counts = label_distribution(items)
     print(f"{'label':<14}{'count':>8}")
     for label, count in counts.items():
         print(f"{label.name.lower():<14}{count:>8}")
-    if skipped:
-        print(f"{'(unlabeled)':<14}{skipped:>8}")
+    if unlabeled := len(items) - sum(counts.values()):
+        print(f"{'(unlabeled)':<14}{unlabeled:>8}")
     return 0
 
 

@@ -25,7 +25,7 @@ from .evidence import (
 )
 from .providers import FixtureSearchProvider, LiveSearchProvider, RateLimiter
 from .summarize import DEFAULT_MAX_TOKENS, LeadSummarizer, SummarizerBackend
-from .veracity import HashedLinearClassifier, TrainConfig
+from .veracity import ClassifierSettings, HashedLinearClassifier, TrainConfig
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,6 @@ class EncoderSettings:
 @dataclass(frozen=True)
 class SummarizerSettings:
     max_tokens: int = DEFAULT_MAX_TOKENS
-
-
-@dataclass(frozen=True)
-class ClassifierSettings:
-    dimension: int = 1024
-    seed: int = 0
-    learning_rate: float = 1.0
-    batch_size: int | None = 8  # None = one full-batch step per epoch
 
 
 @dataclass(frozen=True)
@@ -112,12 +104,7 @@ def build_summarizer(settings: SummarizerSettings) -> SummarizerBackend:
 
 
 def build_classifier(settings: ClassifierSettings) -> HashedLinearClassifier:
-    return HashedLinearClassifier(
-        dimension=settings.dimension,
-        seed=settings.seed,
-        learning_rate=settings.learning_rate,
-        batch_size=settings.batch_size,
-    )
+    return HashedLinearClassifier(**vars(settings))
 
 
 def build_provider(settings: ProviderSettings) -> SearchProvider:

@@ -256,13 +256,12 @@ def normalize_articles(articles: Iterable[Article]) -> NormalizeResult:
     return result
 
 
-def label_distribution(articles: Sequence[Article]) -> dict[VeracityLabel, int]:
-    """Count articles per label; every article must already be labeled."""
+def label_distribution(items: Sequence) -> dict[VeracityLabel, int]:
+    """Count articles, or pipeline records, per label; unlabeled ones are not counted."""
     counts = {label: 0 for label in VeracityLabel}
-    for article in articles:
-        if article.label is None:
-            raise ValueError(f"article {article.id!r} has no label")
-        counts[article.label] += 1
+    for item in items:
+        if item.label is not None:
+            counts[item.label] += 1
     return counts
 
 

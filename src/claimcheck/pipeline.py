@@ -312,15 +312,6 @@ def read_records(path: str | Path) -> list[PipelineRecord]:
     return _RECORDS.read_lines(PipelineRecord, path, "record")
 
 
-def records_label_distribution(records: Sequence[PipelineRecord]) -> dict[VeracityLabel, int]:
-    """Count assigned labels; errored/unlabeled records are not counted."""
-    counts = {label: 0 for label in VeracityLabel}
-    for record in records:
-        if record.label is not None:
-            counts[record.label] += 1
-    return counts
-
-
 def _concat_text(record: PipelineRecord) -> str:
     return featurize_concat(record.claim, record.evidence.concatenated if record.evidence else "")
 

@@ -67,20 +67,18 @@ def summarize(backend: SummarizerBackend, body: str) -> str:
 
     The bound is hard: an over-long summary is truncated and logged, never
     passed through. The lead rule counts tokens as it takes sentences, so
-    its summaries are not counted again.
+    its summaries are not counted again. A summary that is empty, also once
+    truncated, is an error.
     """
     if not body or not body.strip():
         raise SummarizeError("cannot summarize an empty body")
     out = backend.summarize(body)
-    if not out or not out.strip():
-        raise SummarizeError(f"backend {backend.name!r} produced an empty summary")
-    if type(backend) is LeadSummarizer:
-        return out
-    count = len(tokenize(out))
-    if count > backend.max_tokens:
+    if type(backend) is not LeadSummarizer and (count := len(tokenize(out))) > backend.max_tokens:
         logger.warning(
             "summary from %r has %d tokens, truncating to %d",
             backend.name, count, backend.max_tokens,
         )
         out = " ".join(_lead_within(out.split(), backend.max_tokens))
+    if not out.strip():
+        raise SummarizeError(f"backend {backend.name!r} produced an empty summary")
     return out

@@ -36,8 +36,8 @@ SNAPSHOT_FORMAT = "classifier-snapshot.v1"
 
 DEFAULT_CONTENT_WORDS = 500
 
-# Rows featurized at once: bounds the token lists behind each step of
-# ``featurize`` and the feature rows held while scoring or training.
+# Rows hashed, and densified, at once: bounds the token lists behind each
+# hashing step and the feature rows held while scoring or training.
 CHUNK_ROWS = 64
 
 
@@ -71,6 +71,14 @@ class LabeledText:
 def _check_learning_rate(value: float) -> None:
     if not 0 < value < math.inf:  # also rejects NaN
         raise ValueError(f"learning rate must be positive and finite, got {value}")
+
+
+@dataclass(frozen=True)
+class ClassifierSettings:
+    dimension: int = 1024
+    seed: int = 0
+    learning_rate: float = 1.0
+    batch_size: int = 8
 
 
 @dataclass(frozen=True)
@@ -117,7 +125,6 @@ class HashedLinearClassifier:
     uniform. Training is minibatch gradient descent on the mean
     cross-entropy, with batches taken in input order (no shuffling), so a
     run is fully determined by the data order and the hyperparameters.
-    ``batch_size=None`` means one full-batch step per epoch.
     """
 
     name = "hashed_linear"
@@ -127,12 +134,12 @@ class HashedLinearClassifier:
         dimension: int = 1024,
         seed: int = 0,
         learning_rate: float = 1.0,
-        batch_size: int | None = 8,
+        batch_size: int = 8,
     ):
         if dimension < 8:
             raise ValueError(f"feature dimension must be >= 8, got {dimension}")
         _check_learning_rate(learning_rate)
-        if batch_size is not None and batch_size < 1:
+        if batch_size < 1:
             raise ValueError(f"batch size must be positive, got {batch_size}")
         self.dimension = int(dimension)
         self.seed = int(seed)
@@ -144,17 +151,13 @@ class HashedLinearClassifier:
 
     def featurize(self, texts: Sequence[str]) -> np.ndarray:
         """``(len(texts), d)`` feature matrix; row ``i`` depends on ``texts[i]`` only."""
-        rows = np.empty((len(texts), self.dimension))
-        for start in range(0, len(texts), CHUNK_ROWS):
-            chunk = texts[start : start + CHUNK_ROWS]
-            rows[start : start + len(chunk)] = self._featurizer.unit_rows(*self._featurizer.bucket_ids(chunk))
-        return rows
+        return self._featurizer.unit_rows(*self._featurizer.bucket_ids(texts))
 
     def features(self, text: str) -> np.ndarray:
         """Feature row of one text."""
         return self.featurize([text])[0]
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
+    def predict_proba(self, features: np.ndarray | _Rows) -> np.ndarray:
         """``(n, 4)`` class probabilities of ``n`` feature rows."""
         # One gemv per row: a single ``features @ weights.T`` gemm rounds
         # differently and would change the probabilities written to records.
@@ -184,7 +187,7 @@ class HashedLinearClassifier:
         n = len(features)
         if not n:
             raise ValueError("cannot train on an empty batch")
-        step = self.batch_size or n
+        step = self.batch_size
         total_loss = 0.0
         for start in range(0, n, step):
             batch = slice(start, start + step)
@@ -230,12 +233,10 @@ class HashedLinearClassifier:
         try:
             if tuple(snapshot.get("class_order", ())) != CLASS_ORDER:
                 raise ConfigError(f"snapshot {path} has an unexpected class order")
-            model = cls(
-                dimension=snapshot["dimension"],
-                seed=snapshot["seed"],
-                learning_rate=snapshot.get("learning_rate", 1.0),
-                batch_size=snapshot.get("batch_size", 8),
-            )
+            # Older snapshots lack the training fields, which then take their defaults.
+            settings = {key: snapshot[key] for key in ("dimension", "seed")}
+            settings.update((key, snapshot[key]) for key in ("learning_rate", "batch_size") if key in snapshot)
+            model = cls(**vars(jsonio.CODEC.decode(ClassifierSettings, settings, "classifier")))
             model.set_params({"weights": snapshot["weights"], "bias": snapshot["bias"]})
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"snapshot {path} is malformed: {type(exc).__name__}: {exc}") from None
@@ -258,12 +259,8 @@ class TrainResult:
 
 
 def predict_texts(backend: HashedLinearClassifier, texts: Sequence[str]) -> np.ndarray:
-    """``(len(texts), 4)`` probabilities, featurizing ``CHUNK_ROWS`` texts at a time."""
-    probabilities = np.empty((len(texts), NUM_CLASSES))
-    for start in range(0, len(texts), CHUNK_ROWS):
-        chunk = texts[start : start + CHUNK_ROWS]
-        probabilities[start : start + len(chunk)] = backend.predict_proba(backend.featurize(chunk))
-    return probabilities
+    """``(len(texts), 4)`` probabilities, read from the hashed-once rows of ``texts``."""
+    return backend.predict_proba(_Rows(backend._featurizer, texts))
 
 
 def _labels(examples: Sequence[LabeledText]) -> np.ndarray:
@@ -285,7 +282,7 @@ class _Rows:
     """The feature rows of a text list, hashed once and kept as each chunk's nonzero cells;
     a chunk is densified, by a scatter, when a slice within it is taken."""
 
-    def __init__(self, featurizer: HashedFeaturizer, texts: Sequence[str], chunk: int):
+    def __init__(self, featurizer: HashedFeaturizer, texts: Sequence[str], chunk: int = CHUNK_ROWS):
         self._len, self._chunk, self._at, self._cells = len(texts), chunk, -1, []
         for start in range(0, len(texts), chunk):
             ids, counts = featurizer.bucket_ids(texts[start : start + chunk])
@@ -315,11 +312,11 @@ def train(
 ) -> TrainResult:
     """Run exactly ``config.epochs`` epochs; keep the best-validation snapshot.
 
-    Both sets are featurized once, before the first epoch. An epoch densifies
-    one chunk of whole minibatches at a time: ``CHUNK_ROWS`` rounded up to a
-    multiple of the batch size, or the whole set for a full-batch step, whose
-    gemm a split would change. The backend is left holding the snapshot with
-    the highest validation label accuracy (earliest epoch wins ties).
+    Both sets are hashed once, before the first epoch. An epoch densifies one
+    chunk of whole minibatches at a time: ``CHUNK_ROWS`` rounded up to a
+    multiple of the batch size, since splitting a minibatch would change its
+    gemm. The backend is left holding the snapshot with the highest
+    validation label accuracy (earliest epoch wins ties).
     """
     if not train_set:
         raise ValueError("training set is empty")
@@ -329,9 +326,9 @@ def train(
     if len(classes) == 1:
         logger.warning("training set contains a single class (%s)", next(iter(classes)).name)
 
-    chunk = -(-CHUNK_ROWS // step) * step if (step := backend.batch_size) else len(train_set)
+    chunk = -(-CHUNK_ROWS // (step := backend.batch_size)) * step
     train_features, train_labels = _Rows(backend._featurizer, [ex.text for ex in train_set], chunk), _labels(train_set)
-    val_features, val_labels = _Rows(backend._featurizer, [ex.text for ex in validation_set], CHUNK_ROWS), _labels(validation_set)
+    val_features, val_labels = _Rows(backend._featurizer, [ex.text for ex in validation_set]), _labels(validation_set)
     log: list[EpochStats] = []
     best_params: dict | None = None
     best_epoch = 0

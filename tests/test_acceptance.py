@@ -8,8 +8,10 @@ not logged.
 
 import dataclasses
 import random
+import sys
 import time
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,6 @@ from claimcheck.evidence import (
 )
 from claimcheck.pipeline import PipelineVariant, run_pipeline, write_records
 from claimcheck.providers import FixtureSearchProvider
-from claimcheck.synthetic import run_evidence_gain_experiment
 from claimcheck.textproc import rouge1, rouge_l, split_sentences
 from claimcheck.veracity import (
     HashedLinearClassifier,
@@ -43,6 +44,9 @@ from oracles import (
     precision_recall_f1,
     shift_months_by_walking,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from evidence_gain_experiment import run_evidence_gain_experiment  # noqa: E402
 
 
 def _report(line: str) -> None:

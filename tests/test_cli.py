@@ -5,8 +5,8 @@ import pytest
 
 from claimcheck import cli
 from claimcheck.cli import main
-from claimcheck.corpus import VeracityLabel, load_store
-from claimcheck.pipeline import read_records, records_label_distribution
+from claimcheck.corpus import Article, DatasetKind, VeracityLabel, label_distribution, load_store, save_store
+from claimcheck.pipeline import read_records
 from claimcheck.textproc import split_sentences
 
 
@@ -56,9 +56,18 @@ def test_stats_matches_recount(tmp_path, capsys):
     capsys.readouterr()
     assert main(["stats", "--records", str(out)]) == 0
     printed = capsys.readouterr().out
-    counts = records_label_distribution(read_records(out))
+    counts = label_distribution(read_records(out))
     for label in VeracityLabel:
         assert f"{label.name.lower():<14}{counts[label]:>8}" in printed
+
+
+def test_stats_reports_unlabeled_articles_as_it_does_records(tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    save_store([Article("1", "h", "b", DatasetKind.FIXTURE, "true", label=VeracityLabel.TRUE),
+                Article("2", "h", "b", DatasetKind.FIXTURE, "true")], store)
+    assert main(["stats", "--corpus", str(store)]) == 0
+    printed = capsys.readouterr().out
+    assert f"{'true':<14}{1:>8}" in printed and f"{'(unlabeled)':<14}{1:>8}" in printed
 
 
 def test_stats_on_corpus(capsys):

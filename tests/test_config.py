@@ -71,6 +71,12 @@ def test_invalid_train_section_rejected():
         config_from_dict({"train": {"epochs": 0}})
 
 
+def test_null_batch_size_rejected():
+    # One minibatch as large as the training set is the full-batch step; null no longer stands for it.
+    with pytest.raises(ConfigError, match="'classifier.batch_size': expected int, got NoneType"):
+        config_from_dict({"classifier": {"batch_size": None}})
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/config.json")

@@ -278,9 +278,9 @@ class TestLabelDistribution:
         assert counts[VeracityLabel.FALSE] == 0
         assert counts[VeracityLabel.PARTIAL_TRUE] == 0
 
-    def test_unlabeled_is_an_error(self):
-        with pytest.raises(ValueError, match="no label"):
-            label_distribution([Article("1", "h", "b", DatasetKind.FIXTURE, "true")])
+    def test_unlabeled_is_not_counted(self):
+        counts = label_distribution([Article("1", "h", "b", DatasetKind.FIXTURE, "true")])
+        assert counts == {label: 0 for label in VeracityLabel}
 
     def test_recount_oracle_on_random_articles(self):
         rng = random.Random(99)

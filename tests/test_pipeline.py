@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from claimcheck import claimrank, encode, evidence, textproc
-from claimcheck.corpus import VeracityLabel
+from claimcheck.corpus import VeracityLabel, label_distribution
 from claimcheck.encode import HashedBagEncoder
 from claimcheck.errors import PipelineError, RetryableSearchError
 from claimcheck.evidence import SearchProvider
@@ -18,7 +18,6 @@ from claimcheck.pipeline import (
     build_examples,
     build_runtime,
     read_records,
-    records_label_distribution,
     run_gist_experiment,
     run_pipeline,
     write_records,
@@ -455,7 +454,7 @@ class TestRecordsIO:
 
     def test_label_distribution_recount(self, records_by_variant):
         records = records_by_variant[PipelineVariant.P3_HEADLINE_PLUS_SUMMARY]
-        counts = records_label_distribution(records)
+        counts = label_distribution(records)
         for label in VeracityLabel:
             assert counts[label] == sum(1 for r in records if r.label is label)
         assert sum(counts.values()) == len(records)

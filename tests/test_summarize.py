@@ -110,6 +110,20 @@ class TestSummarizeWrapper:
         with pytest.raises(SummarizeError, match="empty summary"):
             summarize(Silent(), "Some body.")
 
+    def test_backend_truncated_to_nothing_is_rejected(self, caplog):
+        # The first word alone is over budget, as in the lead rule's own case.
+        class Hyphenated(SummarizerBackend):
+            name = "hyphenated"
+
+            def summarize(self, body):
+                return "a-b-c-d-e-f rest of it"
+
+        with caplog.at_level(logging.WARNING), pytest.raises(SummarizeError, match="empty summary"):
+            summarize(Hyphenated(max_tokens=3), "Some body.")
+        assert "truncating" in caplog.text
+        with pytest.raises(SummarizeError, match="empty summary"):
+            summarize(LeadSummarizer(max_tokens=3), "A-b-c-d-e-f rest of it.")
+
     def test_bad_budgets_rejected(self):
         with pytest.raises(ValueError):
             LeadSummarizer(max_tokens=0)

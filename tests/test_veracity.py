@@ -1,5 +1,7 @@
+import json
 import logging
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -154,14 +156,13 @@ class TestTraining:
         assert losses[0] == losses[1]
 
     def test_loss_non_increasing_with_small_step_full_batch(self):
-        backend = HashedLinearClassifier(
-            dimension=256, seed=0, learning_rate=0.05, batch_size=None
-        )
         examples = _separable_set()
-        features = backend.featurize([ex.text for ex in examples])
-        labels = np.array([int(ex.label) for ex in examples])
-        losses = [backend.train_epoch(features, labels) for _ in range(6)]
+        backend, oracle = (
+            HashedLinearClassifier(dimension=256, seed=0, learning_rate=0.05, batch_size=len(examples)) for _ in range(2)
+        )
+        losses = [stats.train_loss for stats in train(backend, examples, examples, TrainConfig(epochs=6)).log]
         assert all(a >= b for a, b in zip(losses, losses[1:]))
+        assert losses == [loss for loss, _ in train_by_refeaturizing(oracle, examples, examples, 6)[0]]
 
     def test_single_class_warns_but_trains(self, caplog):
         examples = [LabeledText(f"text {i}", VeracityLabel.TRUE) for i in range(8)]
@@ -279,6 +280,18 @@ class TestReferenceClassifier:
         HashedLinearClassifier(dimension=8).save(path)
         path.write_text(path.read_text(encoding="utf-8").replace('"learning_rate": 1.0', '"learning_rate": NaN'))
         with pytest.raises(ConfigError, match="positive and finite, got nan"):
+            HashedLinearClassifier.load(path)
+
+    @pytest.mark.parametrize(
+        "field,value,kind",
+        [("batch_size", 8.5, "float"), ("batch_size", True, "bool"), ("batch_size", None, "NoneType"),
+         ("dimension", 8.9, "float"), ("seed", "7", "str")],
+    )
+    def test_snapshot_field_of_the_wrong_type_is_an_error(self, tmp_path, field, value, kind):
+        path = tmp_path / "model.json"
+        HashedLinearClassifier(dimension=8).save(path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text(encoding="utf-8")), **{field: value})))
+        with pytest.raises(ConfigError, match=re.escape(f"snapshot {path} is malformed: ") + f".*'{field}': expected int, got {kind}"):
             HashedLinearClassifier.load(path)
 
 
@@ -415,7 +428,7 @@ class TestMatrixContract:
         expected = score_predictions([ex.label for ex in examples], predicted)
         assert np.array_equal(evaluate(backend, examples).confusion, expected.confusion)
 
-    @pytest.mark.parametrize("batch_size", [1, 3, 8, 64, None])
+    @pytest.mark.parametrize("batch_size", [1, 3, 8, 64, 300])  # 300: one full-batch step per epoch
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_train=st.integers(1, 300), n_val=st.integers(1, 70))
     @example(seed=0, n_train=203, n_val=70)  # three whole chunks, then a partial one ending on a partial minibatch
@@ -440,6 +453,14 @@ class TestMatrixContract:
         train_set, val_set = _random_examples(rng, 200), _random_examples(rng, 90)
         train(HashedLinearClassifier(dimension=64), train_set, val_set, TrainConfig(epochs=3))
         assert [text for texts in calls for text in texts] == [ex.text for ex in train_set + val_set]
+
+    def test_training_and_scoring_read_the_hashed_once_rows(self, monkeypatch):
+        # ``featurize`` builds a whole matrix at once; no training or scoring path may call it.
+        monkeypatch.setattr(HashedLinearClassifier, "featurize", None)
+        examples = _random_examples(random.Random(6), 70)
+        backend = HashedLinearClassifier(dimension=32)
+        train(backend, examples, examples, TrainConfig(epochs=1))
+        assert label_accuracy(backend, examples) == evaluate(backend, examples).label_accuracy
 
     def test_train_holds_sparse_cells_and_one_chunk_of_rows(self):
         rng = random.Random(5)
