@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import threading
 from abc import ABC, abstractmethod
-from itertools import chain
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 
 from .errors import INPUT_ERRORS, EncodeError
-from .textproc import has_tokens, tokenize_batch
+from .textproc import ascii_token_spans, has_tokens, tokenize
 
 Embedding = np.ndarray
 
@@ -30,24 +31,116 @@ def _keyed_blake2b(seed: int):
     return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little", signed=True))
 
 
+def _digest_bucket(data: bytes, seed: int, buckets: int) -> int:
+    hasher = _keyed_blake2b(seed).copy()
+    hasher.update(data)
+    return int.from_bytes(hasher.digest(), "little") % buckets
+
+
 def stable_bucket(token: str, seed: int, buckets: int) -> int:
     """Map a token to a bucket index, stable across runs and platforms.
 
     Uses keyed BLAKE2b rather than the interpreter's randomized ``hash``.
     """
-    hasher = _keyed_blake2b(seed).copy()
-    hasher.update(token.encode("utf-8"))
-    return int.from_bytes(hasher.digest(), "little") % buckets
+    return _digest_bucket(token.encode("utf-8"), seed, buckets)
+
+
+# A key packs a token's bytes into up to three little-endian uint64 words:
+# tokens of up to 24 bytes. ``tokenize``'s ASCII tokens hold no zero byte, so
+# packing is exact, a short token's trailing words are 0 and a slot whose
+# first word is 0 is empty. ``_MASKS[k]`` keeps a word's first ``k`` bytes.
+_KEY_WORDS = 3
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio, odd
+_WINDOW_STEPS = np.arange(1, 9)
+
+
+class _KeyTable:
+    """Token keys of ``width`` words -> buckets, by open addressing with
+    linear probing in numpy arrays kept at most half full. A whole batch of
+    keys is found, or placed, one probe round at a time."""
+
+    def __init__(self, width: int, seed: int, dimension: int):
+        self.width, self.seed, self.dimension, self.used = width, seed, dimension, 0
+        self.words = np.zeros((width, 64), np.uint64)
+        self.buckets = np.zeros(64, np.intp)
+
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        mixed = keys[0] * _FIBONACCI
+        for word in keys[1:]:
+            mixed = (mixed ^ word) * _FIBONACCI
+        return (mixed >> np.uint64(65 - self.buckets.size.bit_length())).astype(np.intp)
+
+    def _slots(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's slot: the one holding it, or the empty one that ends its probe. Every key
+        tries its home slot at once; the few that go on scan ``_WINDOW_STEPS`` further slots a round."""
+        slots, last = self._home(keys), self.buckets.size - 1
+        stored = self.words[0][slots]
+        stop = stored == keys[0]
+        for word in range(1, self.width):
+            stop &= self.words[word][slots] == keys[word]
+        todo = np.flatnonzero(~stop & (stored != 0))
+        while todo.size:
+            at, rows = (slots[todo, None] + _WINDOW_STEPS) & last, np.arange(todo.size)
+            stop = self.words[0][at] == keys[0, todo, None]
+            for word in range(1, self.width):
+                stop &= self.words[word][at] == keys[word, todo, None]
+            stop |= self.words[0][at] == 0
+            step = stop.argmax(axis=1)
+            going = ~stop[rows, step]
+            step[going] = -1  # a probe that goes on starts the next round after this window
+            slots[todo] = at[rows, step]
+            todo = todo[going]
+        return slots
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The bucket of each key, a column of ``keys``; a new key's bucket is its token's ``stable_bucket``."""
+        slots = self._slots(keys)
+        new = self.words[0][slots] == 0
+        if new.any():
+            fresh = np.unique(keys[:, new], axis=1) if self.width > 1 else np.unique(keys[0, new])[None]
+            if self._insert(fresh):
+                slots = self._slots(keys)
+            else:
+                slots[new] = self._slots(keys[:, new])
+        return self.buckets[slots]
+
+    def _insert(self, keys: np.ndarray) -> bool:
+        """Place keys that the table lacks, first doubling it as often as staying half full needs;
+        whether it doubled."""
+        tokens = keys.T.astype("<u8", order="C").view(f"S{8 * self.width}").ravel().tolist()  # trailing zero bytes dropped
+        buckets = np.fromiter(map(_digest_bucket, tokens, repeat(self.seed), repeat(self.dimension)), np.intp, len(tokens))
+        self.used += len(tokens)
+        grown = 2 * self.used > self.buckets.size
+        if grown:
+            held = self.words[0] != 0
+            keys = np.concatenate([self.words[:, held], keys], axis=1)
+            buckets = np.concatenate([self.buckets[held], buckets])
+            slots = self.buckets.size << ((2 * self.used - 1) // self.buckets.size).bit_length()
+            self.words, self.buckets = np.zeros((self.width, slots), np.uint64), np.zeros(slots, np.intp)
+        slots, todo, last = self._home(keys), np.arange(len(buckets)), self.buckets.size - 1
+        while todo.size:
+            at = slots[todo]
+            free = np.flatnonzero(self.words[0][at] == 0)
+            self.buckets[at[free]] = todo[free]  # an empty slot's bucket is free to mark who claims it
+            won = free[self.buckets[at[free]] == todo[free]]  # one claimant for each free slot
+            self.words[:, at[won]], self.buckets[at[won]] = keys[:, todo[won]], buckets[todo[won]]
+            todo = np.delete(todo, won)
+            slots[todo] = (slots[todo] + 1) & last
+        return grown
 
 
 class HashedFeaturizer(dict):
     """Hashed bag-of-tokens rows: bucket counts scaled to unit L2 norm.
 
-    The featurizer is its own token table: token -> ``stable_bucket(token,
-    seed, dimension)``, filled on first use. It is owned by one encoder or
-    classifier instance and lives as long as its owner. A key's value
-    depends only on the token, so a warm table gives the same rows as a
-    cold one, whatever was encoded before. Row ``i`` is bit-identical to
+    A token's bucket is ``stable_bucket(token, seed, dimension)``, hashed
+    once per featurizer, on first use, and kept for the featurizer's life.
+    The tokens of ASCII texts are kept as packed keys, one ``_KeyTable`` for
+    each key width; tokens over ``8 * _KEY_WORDS`` bytes and the tokens of
+    non-ASCII texts are kept as ``str`` in the featurizer itself, a dict.
+    One lock makes each batch's lookups and inserts atomic. A bucket
+    depends only on its token, so a warm featurizer gives the same rows as
+    a cold one, whatever was encoded before. Row ``i`` is bit-identical to
     accumulating one count per token of ``texts[i]`` and dividing by the
     counts' L2 norm: counts are integers, so the sum of squares is exact
     whatever the summation order.
@@ -57,6 +150,8 @@ class HashedFeaturizer(dict):
         super().__init__()
         self.dimension = dimension
         self.seed = seed
+        self._tables = [_KeyTable(width, seed, dimension) for width in range(1, _KEY_WORDS + 1)]
+        self._lock = threading.Lock()
 
     def __missing__(self, token: str) -> int:
         bucket = self[token] = stable_bucket(token, self.seed, self.dimension)
@@ -64,8 +159,37 @@ class HashedFeaturizer(dict):
 
     def bucket_ids(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Every token's bucket, text by text in token order, and each text's token count."""
-        tokens, counts = tokenize_batch(texts)
-        return np.fromiter(map(self.__getitem__, tokens), np.intp, len(tokens)), counts
+        ascii = np.fromiter(map(str.isascii, texts), bool, len(texts))
+        if ascii.all():
+            with self._lock:
+                return self._ascii_ids(texts)
+        other = [tokenize(text) for text, plain in zip(texts, ascii) if not plain]
+        counts = np.zeros(len(texts), np.intp)
+        counts[~ascii] = np.fromiter(map(len, other), np.intp, len(other))
+        with self._lock:
+            plain_ids, counts[ascii] = self._ascii_ids([text for text, plain in zip(texts, ascii) if plain])
+            other_ids = np.fromiter(map(self.__getitem__, chain.from_iterable(other)), np.intp)
+        ids, plain_tokens = np.empty(counts.sum(), np.intp), np.repeat(ascii, counts)
+        ids[plain_tokens], ids[~plain_tokens] = plain_ids, other_ids
+        return ids, counts
+
+    def _ascii_ids(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """``bucket_ids`` of ASCII texts: keys of up to ``_KEY_WORDS`` words read straight from the bytes."""
+        data, starts, ends, counts = ascii_token_spans(texts)
+        buffer = np.frombuffer(data + bytes(8 * _KEY_WORDS), np.uint8)
+        words = np.ndarray((buffer.size - 7,), "<u8", buffer, strides=(1,))  # the 8 bytes from each offset
+        lengths = ends - starts
+        if lengths.max(initial=0) <= 8:  # the common batch: one-word keys, no sorting by width
+            return self._tables[0].lookup((words[starts] & _MASKS[lengths])[None]), counts
+        ids, width = np.empty(len(starts), np.intp), (lengths + 7) >> 3
+        for table in self._tables:
+            at = np.flatnonzero(width == table.width)
+            ids[at] = table.lookup(np.stack([
+                words[starts[at] + 8 * w] & _MASKS[np.clip(lengths[at] - 8 * w, 0, 8)] for w in range(table.width)
+            ]))
+        wide = np.flatnonzero(width > _KEY_WORDS)
+        ids[wide] = [self[data[s:e].decode("ascii")] for s, e in zip(starts[wide].tolist(), ends[wide].tolist())]
+        return ids, counts
 
     def unit_cells(self, ids: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The nonzero cells of ``unit_rows(ids, counts)``: flat indices, ascending, and their values."""
@@ -131,6 +255,13 @@ def _fault(backend: EncoderBackend, array: np.ndarray, shape: tuple[int, ...]) -
     """How ``array``, returned for ``shape``, breaks the embedding contract; None if it does not."""
     if array.shape != shape:
         return EncodeError(f"backend {backend.name!r} returned shape {array.shape}, expected {shape}")
+    # A screen: ``vecdot`` sums the squares in another order, but each sum is within
+    # d * 2**-53 of the exact one (relative), so their norms differ by at most about
+    # d * 2**-53, plus an ulp for each square root. A row within the tolerance less
+    # twice that passes the exact check too; any other matrix, or a d too large, gets it.
+    margin = 2 * (shape[-1] + 2) * 2.0**-53
+    if margin < _NORM_TOLERANCE and np.all(np.abs(np.sqrt(np.vecdot(array, array)) - 1.0) <= _NORM_TOLERANCE - margin):
+        return None
     norms = np.sqrt(np.add.reduce(array * array, axis=-1))  # ``np.linalg.norm(axis=-1)``'s arithmetic, bit for bit
     if np.all(np.abs(norms - 1.0) <= _NORM_TOLERANCE):  # never true for a row holding NaN or an infinity
         return None

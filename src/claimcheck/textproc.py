@@ -49,17 +49,14 @@ def tokenize(text: str) -> TokenSeq:
     return _TOKEN_RE.findall(text.lower())
 
 
-def tokenize_batch(texts: Sequence[str]) -> tuple[TokenSeq, np.ndarray]:
-    """``[tokenize(t) for t in texts]`` flattened, and each text's token count; one split for an ASCII batch."""
-    joined = " ".join(texts)
-    if not joined.isascii():
-        lists = [tokenize(text) for text in texts]
-        return [token for tokens in lists for token in tokens], np.fromiter(map(len, lists), np.intp, len(texts))
-    data = b" " + joined.encode("ascii").translate(_ASCII_TOKEN_TABLE)
+def ascii_token_spans(texts: Sequence[str]) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
+    """``tokenize``'s tokens of ASCII ``texts`` as spans: the texts joined by spaces, passed through
+    its byte table and framed by spaces, each token's start and end in those bytes, and each text's token count."""
+    data = b" " + " ".join(texts).encode("ascii").translate(_ASCII_TOKEN_TABLE) + b" "
     spaces = np.frombuffer(data, np.uint8) == 32
-    starts = np.flatnonzero(spaces[:-1] > spaces[1:])  # a space, then a token byte
-    ends = np.cumsum(np.fromiter(map(len, texts), np.intp, len(texts)) + 1)  # each text and its separator
-    return data.decode("ascii").split(), np.diff(np.searchsorted(starts, ends), prepend=0)
+    starts, ends = (np.flatnonzero(spaces[:-1] != spaces[1:]) + 1).reshape(-1, 2).T  # space to token, token to space
+    text_ends = np.cumsum(np.fromiter(map(len, texts), np.intp, len(texts)) + 1)  # each text and its separator
+    return data, starts, ends, np.diff(np.searchsorted(starts, text_ends), prepend=0)
 
 
 def has_tokens(text: str) -> bool:

@@ -237,8 +237,12 @@ class HashedLinearClassifier:
             settings = {key: snapshot[key] for key in ("dimension", "seed")}
             settings.update((key, snapshot[key]) for key in ("learning_rate", "batch_size") if key in snapshot)
             model = cls(**vars(jsonio.CODEC.decode(ClassifierSettings, settings, "classifier")))
-            model.set_params({"weights": snapshot["weights"], "bias": snapshot["bias"]})
-        except (KeyError, TypeError, ValueError) as exc:
+            params = {key: np.asarray(snapshot[key], dtype=object) for key in ("weights", "bias")}
+            for key, entries in params.items():  # ``np.asarray`` would read "1", true and null as numbers
+                if not set(map(type, entries.ravel())) <= {int, float}:
+                    raise ValueError(f"{key!r} holds an entry that is not a JSON number")
+            model.set_params(params)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"snapshot {path} is malformed: {type(exc).__name__}: {exc}") from None
         return model
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import string
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -169,10 +170,12 @@ class TestBatchedEncoding:
     def test_token_table_agrees_with_stable_bucket(self, texts, setting):
         seed, dimension = setting
         featurizer = HashedFeaturizer(dimension, seed)
-        featurizer.unit_rows(*featurizer.bucket_ids(texts))
-        assert set(featurizer) == {token for text in texts for token in tokenize(text)}
-        for token, bucket in featurizer.items():
-            assert bucket == stable_bucket(token, seed, dimension)
+        ids, counts = featurizer.bucket_ids(texts)
+        assert ids.tolist() == [stable_bucket(token, seed, dimension) for text in texts for token in tokenize(text)]
+        # The str table holds only the tokens of non-ASCII texts and tokens over 24 bytes.
+        kept = {token for text in texts for token in tokenize(text) if not text.isascii() or len(token) > 24}
+        assert set(featurizer) == kept
+        assert all(bucket == stable_bucket(token, seed, dimension) for token, bucket in featurizer.items())
 
     def test_warm_table_gives_the_same_bits(self, backend):
         texts = ["alpha bravo alpha", "charlie", "bravo bravo delta"]
@@ -195,7 +198,11 @@ class TestBatchedEncoding:
             sys.setswitchinterval(interval)
         for i, matrix in enumerate(results):
             assert np.array_equal(matrix, expected[i::8])
-        assert all(b == stable_bucket(t, 5, 128) for t, b in shared._featurizer.items())
+        # Each distinct token was placed once, under the bucket that ``stable_bucket`` gives it.
+        vocabulary = sorted({token for text in texts for token in tokenize(text)})
+        assert shared._featurizer._tables[0].used == len(vocabulary)
+        ids, _ = shared._featurizer.bucket_ids([" ".join(vocabulary)])
+        assert ids.tolist() == [stable_bucket(token, 5, 128) for token in vocabulary]
 
     def test_empty_token_list_gives_a_zero_row(self):
         featurizer = HashedFeaturizer(16, 0)
@@ -394,6 +401,105 @@ def test_contract_verdicts_at_the_tolerance_edge(array, verdicts):
     faults = [_fault(_EDGE_BACKEND, array * scale, array.shape) for scale in scales]
     assert all(f is None or str(f) == "backend 'hashed' returned a non-unit vector" for f in faults)
     assert "".join("u" if f is None else "x" for f in faults) == verdicts
+
+
+_key_token = st.one_of(
+    st.text(alphabet=string.ascii_letters + string.digits, min_size=1, max_size=40),  # every key width, and wider
+    st.text(alphabet=string.digits, min_size=1, max_size=30),
+)
+_key_separator = st.sampled_from([" ", "  ", ", ", "...", "-", "_", "\n", "\u2019", " caf\u00e9 ", "\u00df", "\u0130"])
+
+
+@st.composite
+def _key_batches(draw):
+    """Batches over a small vocabulary, so tokens repeat within and across texts; some texts are
+    empty, punctuation only, or non-ASCII."""
+    vocabulary = draw(st.lists(_key_token, min_size=1, max_size=20))
+    word = st.tuples(st.sampled_from(vocabulary), _key_separator).map("".join)
+    text = st.one_of(st.lists(word, max_size=12).map("".join), st.sampled_from(["", " ", "...", "?!", "-_-"]))
+    return draw(st.lists(text, max_size=10))
+
+
+def _grown(seed, dimension):
+    """A featurizer whose three key tables have each doubled at least three times (64 -> 512 slots)."""
+    featurizer = HashedFeaturizer(dimension, seed)
+    featurizer.bucket_ids([" ".join(f"{word}{i}" for i in range(150) for word in ("w", "wordword", "w" * 17))])
+    return featurizer
+
+
+# One warm, grown featurizer per setting, shared by every example of the key-table test.
+_WARM = {setting: _grown(*setting) for setting in _SETTINGS}
+
+
+def _tokens_and_counts(texts):
+    return [token for text in texts for token in tokenize(text)], [len(tokenize(text)) for text in texts]
+
+
+class TestKeyTable:
+    @given(st.lists(_key_batches(), min_size=1, max_size=3), st.sampled_from(_SETTINGS))
+    def test_bucket_ids_equal_stable_bucket_per_token(self, batches, setting):
+        seed, dimension = setting
+        cold = HashedFeaturizer(dimension, seed)
+        assert all(table.buckets.size >= 512 for table in _WARM[setting]._tables)
+        for texts in batches:
+            tokens, counts = _tokens_and_counts(texts)
+            for featurizer in (cold, _WARM[setting]):
+                ids, got_counts = featurizer.bucket_ids(texts)
+                assert got_counts.tolist() == counts
+                assert ids.tolist() == [stable_bucket(token, seed, dimension) for token in tokens]
+
+    @given(st.lists(st.text(max_size=40), max_size=12), st.sampled_from(_SETTINGS))
+    def test_mixed_batch_matches_stable_bucket_per_token(self, texts, setting):
+        seed, dimension = setting
+        ids, counts = HashedFeaturizer(dimension, seed).bucket_ids(texts)
+        tokens, expected = _tokens_and_counts(texts)
+        assert counts.tolist() == expected
+        assert ids.tolist() == [stable_bucket(token, seed, dimension) for token in tokens]
+
+    def test_keys_that_share_a_home_slot_probe_past_it(self):
+        # Every key hashed to slot 0: one cluster, longer than a probe window, through every doubling.
+        featurizer = HashedFeaturizer(64, 1)
+        for table in featurizer._tables:
+            table._home = lambda keys: np.zeros(keys.shape[1], np.intp)
+        vocabulary = [f"w{i}" for i in range(150)] + [f"wordsword{i}" for i in range(40)]
+        for lo in (0, 3, 40, 100, 190):
+            ids, _ = featurizer.bucket_ids([" ".join(vocabulary[:lo]), " ".join(reversed(vocabulary))])
+            tokens = vocabulary[:lo] + vocabulary[::-1]
+            assert ids.tolist() == [stable_bucket(token, 1, 64) for token in tokens]
+        assert [table.used for table in featurizer._tables] == [150, 40, 0]
+
+    @pytest.mark.parametrize("setting", _SETTINGS)
+    def test_a_table_grown_through_doublings_keeps_every_bucket(self, setting):
+        seed, dimension = setting
+        featurizer = HashedFeaturizer(dimension, seed)
+        words = ("k", "key", "keyword", "keywordsx", "keywords" * 2 + "x")
+        vocabulary = [f"{word}{i}" for i in range(700) for word in words]
+        first = [table.buckets.size for table in featurizer._tables]
+        for lo in range(0, len(vocabulary), 500):  # inserts that grow the tables, batch after batch
+            featurizer.bucket_ids([" ".join(vocabulary[lo : lo + 500])])
+        assert all(table.buckets.size >= 8 * size for table, size in zip(featurizer._tables, first))
+        assert all(2 * table.used <= table.buckets.size for table in featurizer._tables)
+        ids, _ = featurizer.bucket_ids([" ".join(vocabulary), "KEY1 key1"])
+        assert ids.tolist() == [stable_bucket(token, seed, dimension) for token in vocabulary + ["key1", "key1"]]
+
+
+@given(
+    st.integers(8, 4096),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.sampled_from([-1, 1]), st.booleans(), st.integers(-8, 8)), min_size=1, max_size=4),
+)
+def test_screened_verdicts_equal_the_exact_check(dimension, seed, offsets):
+    """Rows scaled to 1 +- (tolerance +- k ulps), or to the screen's edge: the verdict is the
+    exact check's, ``np.add.reduce(a * a)`` under a square root."""
+    margin = 2 * (dimension + 2) * 2.0**-53
+    bases = [1.0 + sign * (1e-9 - (margin if screen_edge else 0.0)) for sign, screen_edge, _ in offsets]
+    scales = np.array([base + k * np.spacing(base) for base, (_, _, k) in zip(bases, offsets)])
+    array = _dense_unit(seed, (len(offsets), dimension)) * scales[:, None]
+    exact = np.all(np.abs(np.sqrt(np.add.reduce(array * array, axis=-1)) - 1.0) <= 1e-9)
+    fault = _fault(_EDGE_BACKEND, array, array.shape)
+    assert (fault is None) == exact
+    if fault is not None:
+        assert str(fault) == "backend 'hashed' returned a non-unit vector"
 
 
 class TestCosineDistance:

@@ -294,6 +294,27 @@ class TestReferenceClassifier:
         with pytest.raises(ConfigError, match=re.escape(f"snapshot {path} is malformed: ") + f".*'{field}': expected int, got {kind}"):
             HashedLinearClassifier.load(path)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("weights", [["1"] * 8, [True] * 8, [0.0] * 8, [0.0] * 8]), ("bias", ["0.5", False, 1, 2]),
+         ("bias", [0.5, None, 1, 2]), ("weights", [[0.0] * 8] * 3 + [[0.0] * 7 + [[0.0]]]),
+         ("bias", [10**400, 0, 0, 0])],
+    )
+    def test_snapshot_parameter_that_is_not_a_float_is_an_error(self, tmp_path, field, value):
+        path = tmp_path / "model.json"
+        HashedLinearClassifier(dimension=8).save(path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text(encoding="utf-8")), **{field: value})))
+        with pytest.raises(ConfigError, match=re.escape(f"snapshot {path} is malformed: ")):
+            HashedLinearClassifier.load(path)
+
+    def test_snapshot_parameters_of_ints_and_floats_load(self, tmp_path):
+        path = tmp_path / "model.json"
+        HashedLinearClassifier(dimension=8).save(path)
+        snapshot = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(dict(snapshot, weights=[[1, 0.5] * 4] * 4, bias=[0, 1, -2.5, 3])))
+        model = HashedLinearClassifier.load(path)
+        assert model.weights.tolist() == [[1.0, 0.5] * 4] * 4 and model.bias.tolist() == [0.0, 1.0, -2.5, 3.0]
+
 
 class TestScorePredictions:
     def test_perfect_predictions(self):
