@@ -9,40 +9,36 @@ nearest-first step later ranks evidence sentences against that claim.
 
 from __future__ import annotations
 
+from math import isnan
 from typing import Sequence
 
 import numpy as np
 
-from .encode import NO_TOKENS, EncoderBackend, clamped_distance, encode_pairs
+from .encode import NO_TOKENS, EncoderBackend
 from .encode import cosine_distance, encode  # noqa: F401  (unused; perfbench's tracer wraps ``claimrank.<name>``)
 from .errors import EncodeError, unwrap
-from .textproc import has_tokens, split_sentences
+from .textproc import split_sentences
 
 
 def nearest_first(heads: Sequence[str], tails: Sequence[Sequence[str]], backend: EncoderBackend) -> list:
     """``(tails[i], positions, distances)`` for each ``i``: every position in
     ``tails[i]``, closest to ``heads[i]`` first (ties by position), and their
-    distances in that order. Head and tail texts must have tokens, so callers
-    check a head before they scan its tail; an entry ``encode_pairs`` fails
-    gets its error. One ``encode_batch`` covers the heads, one the tails;
-    one ``np.vecdot`` per entry fills the block's one array of dot products,
-    and one clamp and one stable ``np.lexsort`` rank every entry.
+    distances in that order, as ``backend.distances`` gives them; a tail
+    text without tokens has distance NaN and ranks last. An entry that
+    ``distances`` fails gets its error. One stable ``np.lexsort`` ranks
+    every entry.
     """
-    results = encode_pairs(backend, heads, tails)
-    ranked = [i for i, pair in enumerate(results) if not isinstance(pair, Exception)]
+    results = backend.distances(heads, tails)
+    ranked = [i for i, result in enumerate(results) if not isinstance(result, Exception)]
     sizes = np.fromiter((len(tails[i]) for i in ranked), np.intp, len(ranked))
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    spans = list(zip(ranked, starts.tolist(), ends.tolist()))
-    dots = np.empty(sizes.sum())
-    for i, lo, hi in spans:
-        np.vecdot(*results[i], out=dots[lo:hi])
-    distances = clamped_distance(dots)
+    distances = np.concatenate([np.empty(0), *(results[i] for i in ranked)])
     owner = np.repeat(np.arange(len(ranked)), sizes)
     # Sorted by owner first, row k still belongs to owner[k]; stable, so ties keep position order.
     order = np.lexsort((distances, owner))
     positions, distances = (order - starts[owner]).tolist(), distances[order].tolist()
-    for i, lo, hi in spans:
+    for i, lo, hi in zip(ranked, starts.tolist(), ends.tolist()):
         results[i] = tails[i], tuple(positions[lo:hi]), tuple(distances[lo:hi])
     return results
 
@@ -63,18 +59,12 @@ def rank_sentences(
 def rank_block(bodies: list[str], signals: list[str], backend: EncoderBackend) -> list:
     """``rank_sentences`` for each ``(bodies[i], signals[i])``, through one
     ``nearest_first``. Entry ``i`` is the ranking, or the input error that
-    ranking article ``i`` alone raises."""
+    ranking article ``i`` alone raises: a body without sentences, else the
+    error ``distances`` gives the entry, else a sentence without tokens."""
     split = [split_sentences(body) for body in bodies]
-    results: list = [
-        ValueError("article body yields no sentences to rank") if not sentences
-        else None if has_tokens(signal) else EncodeError(NO_TOKENS)
-        for sentences, signal in zip(split, signals)
-    ]
+    results: list = [None if sentences else ValueError("article body yields no sentences to rank") for sentences in split]
     pending = [i for i, result in enumerate(results) if result is None]
-    ok = [all(map(has_tokens, split[i])) for i in pending]
-    # A sentence without tokens fails its article once the signal's row has passed.
-    tails = [split[i] if good else () for i, good in zip(pending, ok)]
-    rankings = nearest_first([signals[i] for i in pending], tails, backend)
-    for i, good, ranking in zip(pending, ok, rankings):
-        results[i] = ranking if good or isinstance(ranking, Exception) else EncodeError(NO_TOKENS)
+    for i, ranking in zip(pending, nearest_first([signals[i] for i in pending], [split[i] for i in pending], backend)):
+        # A sentence without tokens has distance NaN, so it ranks last.
+        results[i] = EncodeError(NO_TOKENS) if not isinstance(ranking, Exception) and isnan(ranking[2][-1]) else ranking
     return results

@@ -12,7 +12,7 @@ import functools
 import hashlib
 import threading
 from abc import ABC, abstractmethod
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from typing import Sequence
 
 import numpy as np
@@ -206,6 +206,35 @@ class HashedFeaturizer(dict):
         return rows
 
 
+def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The sums of ``values`` cut into consecutive runs of ``lengths``, in exact integers."""
+    totals = np.zeros(len(values) + 1, np.int64)
+    np.cumsum(values, out=totals[1:])
+    ends = np.cumsum(lengths)
+    return totals[ends] - totals[ends - lengths]
+
+
+def _count_distances(dots: np.ndarray, n_heads: np.ndarray, n_tails: np.ndarray) -> np.ndarray:
+    """``1 - sqrt(dot**2 / (n_head * n_tail))``, NaN where ``n_tail`` is 0, for
+    integer arrays with ``dot**2 <= n_head * n_tail``: the cosine distance of
+    two count vectors with dot product ``dot`` and squared norms ``n_head``
+    and ``n_tail``.
+
+    Each step is one correctly rounded IEEE operation: the division (of
+    float64 integers, exact below 2**53, or else of Python ints), the
+    square root and the subtraction. So the bits are the same on every CPU,
+    equal rationals give equal distances, a larger rational never gives a
+    larger distance, and two distinct rationals of one head give distinct
+    distances whenever ``n_head * n_tail * n_tail'`` is at most 2**50.
+    """
+    scale = n_heads * n_tails.astype(np.float64)  # exact below 2**53, and at least 2**53 otherwise
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.square(dots.astype(np.float64)) / scale
+    for k in np.flatnonzero(scale >= 2.0**53).tolist():
+        ratio[k] = int(dots[k]) ** 2 / (int(n_heads[k]) * int(n_tails[k]))
+    return 1.0 - np.sqrt(ratio)
+
+
 class EncoderBackend(ABC):
     """Text-to-vector backend.
 
@@ -220,6 +249,29 @@ class EncoderBackend(ABC):
     @abstractmethod
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
         """Encode texts with tokens into an ``(n, dimension)`` matrix of unit-norm rows."""
+
+    def distances(self, heads: Sequence[str], tails: Sequence[Sequence[str]]) -> list:
+        """For each ``i``, the input error that ``(heads[i], tails[i])`` alone
+        raises, or the cosine distance from ``heads[i]`` to each text of
+        ``tails[i]``, NaN for a text without tokens.
+
+        The row path: a head without tokens is ``EncodeError(NO_TOKENS)`` and
+        its tail is not scanned; the other heads and their tail texts with
+        tokens go through ``encode_pairs``, so a row that breaks the
+        embedding contract is its entry's error. One ``np.vecdot`` per entry
+        gives the dot products, and ``clamped_distance`` the distances.
+        """
+        results: list = [None if has_tokens(head) else EncodeError(NO_TOKENS) for head in heads]
+        pending = [i for i, result in enumerate(results) if result is None]
+        scanned = [np.fromiter(map(has_tokens, tails[i]), bool, len(tails[i])) for i in pending]
+        encoded = [list(compress(tails[i], keep)) for i, keep in zip(pending, scanned)]
+        for i, keep, pair in zip(pending, scanned, encode_pairs(self, [heads[i] for i in pending], encoded)):
+            if isinstance(pair, Exception):
+                results[i] = pair
+                continue
+            results[i] = np.full(len(keep), np.nan)
+            results[i][keep] = clamped_distance(np.vecdot(*pair))
+        return results
 
 
 class HashedBagEncoder(EncoderBackend):
@@ -239,11 +291,39 @@ class HashedBagEncoder(EncoderBackend):
         self.seed = int(seed)
         self._featurizer = HashedFeaturizer(self.dimension, self.seed)
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "encode_batch" in vars(cls) and "distances" not in vars(cls):
+            cls.distances = EncoderBackend.distances  # its own rows: rank them, and check them, on the row path
+
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
         ids, counts = self._featurizer.bucket_ids(texts)
         if not counts.all():
             raise EncodeError(NO_TOKENS)
         return self._featurizer.unit_rows(ids, counts)
+
+    def distances(self, heads: Sequence[str], tails: Sequence[Sequence[str]]) -> list:
+        """``EncoderBackend.distances`` from bucket counts, with no rows.
+
+        One ``bucket_ids`` call covers the heads and every tail text; a count
+        of 0 is a text without tokens. For a head ``h`` and a tail text ``t``,
+        ``dot`` is the sum of ``h``'s bucket counts over ``t``'s tokens and
+        ``n_h``, ``n_t`` are the sums of squared bucket counts, all exact
+        integers, and ``_count_distances`` gives the distance.
+        """
+        n, d = len(heads), self.dimension
+        sizes = np.fromiter(map(len, tails), np.intp, n)
+        ids, counts = self._featurizer.bucket_ids([*heads, *chain.from_iterable(tails)])
+        split, tail_counts = counts[:n].sum(), counts[n:]
+        head_cells = np.bincount(np.repeat(np.arange(0, n * d, d), counts[:n]) + ids[:split], minlength=n * d)
+        n_head = np.square(head_cells).reshape(n, d).sum(axis=1)
+        owner = np.repeat(np.arange(n), sizes)
+        dots = _run_sums(head_cells[np.repeat(owner * d, tail_counts) + ids[split:]], tail_counts)
+        text_starts = np.arange(0, len(tail_counts) * d, d)
+        cells, hits = np.unique(np.repeat(text_starts, tail_counts) + ids[split:], return_counts=True)
+        n_tail = _run_sums(np.square(hits), np.bincount(cells // d, minlength=len(tail_counts)))
+        rows = np.split(_count_distances(dots, n_head[owner], n_tail), np.cumsum(sizes)[:-1])
+        return [row if count else EncodeError(NO_TOKENS) for row, count in zip(rows, counts[:n].tolist())]
 
 
 def reference_encode(text: str, dimension: int = 256, seed: int = 0) -> Embedding:

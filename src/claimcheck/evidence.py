@@ -13,15 +13,16 @@ import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from datetime import date
+from math import isnan
 from pathlib import Path
 from typing import Sequence
 
 from .claimrank import nearest_first
 from .corpus import Article
-from .encode import NO_TOKENS, EncoderBackend
+from .encode import EncoderBackend
 from .encode import cosine_distance, encode  # noqa: F401  (unused; perfbench's tracer wraps ``evidence.<name>``)
-from .errors import ConfigError, EncodeError, FatalSearchError, unwrap
-from .textproc import has_tokens, list_entries, split_sentences
+from .errors import ConfigError, FatalSearchError, unwrap
+from .textproc import list_entries, split_sentences
 
 logger = logging.getLogger(__name__)
 
@@ -244,13 +245,15 @@ def retrieve(
     record keeps a flag so this is auditable).
     """
     survivors: list[EvidenceArticle] = []
+    applicable = article.published is not None
+    if applicable:  # ``date_window``'s bounds, once per article
+        lower, upper = shift_months(article.published, -months), shift_months(article.published, months)
     for result in search(provider, query, max_results=max_results):
         if not is_credible(result.domain, credible):
             continue
         if result.published is None:
             continue  # undated evidence is conservatively rejected
-        applicable = article.published is not None
-        if applicable and not date_window(article.published, result.published, months):
+        if applicable and not lower <= result.published <= upper:
             continue
         survivors.append(EvidenceArticle(result=result, date_check_applicable=applicable))
         if len(survivors) == max_articles:
@@ -265,39 +268,36 @@ def select_evidence(
     max_sentences: int = DEFAULT_MAX_EVIDENCE_SENTENCES,
 ) -> list:
     """Evidence sets for ``claims[i]`` and ``survivors[i]``, through one
-    ``nearest_first`` over all claims and their candidate sentences.
+    ``nearest_first`` over all claims and their survivors' sentences.
 
     Candidates are the survivors' sentences with tokens; the top
     ``max_sentences`` by distance to the claim (ties by article order, then
     sentence position) form the evidence text E. Without survivors the set
-    is empty and the claim is not encoded; a claim without tokens is an
-    error and its survivors are not split. Entry ``i`` is instead the input
-    error that selecting for article ``i`` alone raises, if any.
+    is empty and the claim is not encoded. Entry ``i`` is instead the input
+    error that selecting for article ``i`` alone raises, if any: a claim
+    without tokens is one.
     """
     results: list = [EvidenceSet() for _ in claims]
-    pending = []  # (article, its candidates as (article order, sentence position, text))
-    for i, kept in enumerate(survivors):
-        if kept and not has_tokens(claims[i]):
-            results[i] = EncodeError(NO_TOKENS)
-        elif kept:
-            candidates = [
-                (order, idx, sentence)
-                for order, evidence_article in enumerate(kept)
-                for idx, sentence in enumerate(split_sentences(evidence_article.result.body))
-                if has_tokens(sentence)  # nothing to embed otherwise
-            ]
-            pending.append((i, candidates))
+    pending = [  # (article, its sentences as (article order, sentence position, text))
+        (i, [
+            (order, idx, sentence)
+            for order, evidence_article in enumerate(kept)
+            for idx, sentence in enumerate(split_sentences(evidence_article.result.body))
+        ])
+        for i, kept in enumerate(survivors) if kept
+    ]
     heads, tails = [claims[i] for i, _ in pending], [[text for _, _, text in c] for _, c in pending]
     for (i, candidates), ranking in zip(pending, nearest_first(heads, tails, backend)):
         if isinstance(ranking, Exception):
             results[i] = ranking
             continue
-        # Positions follow (article order, sentence position), so ties break by those.
+        # Positions follow (article order, sentence position), so ties break by those. A sentence
+        # without tokens has distance NaN and ranks last: it is no candidate.
         _, positions, distances = ranking
-        chosen = [candidates[position] for position in positions[:max_sentences]]
+        chosen = [(candidates[p], d) for p, d in zip(positions[:max_sentences], distances) if not isnan(d)]
         top = tuple(
             EvidenceSentence(sentence, distance, survivors[i][order].result.url, order, idx)
-            for (order, idx, sentence), distance in zip(chosen, distances)
+            for (order, idx, sentence), distance in chosen
         )
         results[i] = EvidenceSet(articles=survivors[i], sentences=top, concatenated=" ".join(s.text for s in top))
     return results

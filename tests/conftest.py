@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, settings
 
-from claimcheck import claimrank, encode, evidence, fixtures
+from claimcheck import encode, fixtures
 from claimcheck.config import PipelineConfig
 from claimcheck.corpus import DatasetKind, ingest, normalize_articles
 from claimcheck.pipeline import build_runtime
@@ -31,7 +31,7 @@ def runtime():
 
 @pytest.fixture()
 def token_scans(monkeypatch):
-    """Counts of the texts ``has_tokens`` scans in encoding, ranking and evidence selection."""
+    """Counts of the texts ``has_tokens`` scans on the row path of ``EncoderBackend.distances``."""
     scans = Counter()
     real = encode.has_tokens
 
@@ -39,6 +39,19 @@ def token_scans(monkeypatch):
         scans[text] += 1
         return real(text)
 
-    for module in (encode, claimrank, evidence):
-        monkeypatch.setattr(module, "has_tokens", counted)
+    monkeypatch.setattr(encode, "has_tokens", counted)
     return scans
+
+
+@pytest.fixture()
+def hashed_batches(monkeypatch):
+    """The texts of each ``HashedFeaturizer.bucket_ids`` call, a list per call."""
+    batches = []
+    real = encode.HashedFeaturizer.bucket_ids
+
+    def recorded(self, texts):
+        batches.append(list(texts))
+        return real(self, texts)
+
+    monkeypatch.setattr(encode.HashedFeaturizer, "bucket_ids", recorded)
+    return batches

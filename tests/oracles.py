@@ -10,15 +10,18 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import types
 import typing
+from collections import Counter
 from datetime import date, timedelta
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
 from claimcheck.corpus import VeracityLabel
-from claimcheck.encode import NO_TOKENS, cosine_distance, encode, stable_bucket
+from claimcheck.encode import NO_TOKENS, HashedBagEncoder, cosine_distance, encode, stable_bucket
 from claimcheck.errors import ClaimCheckError, EncodeError
 from claimcheck.evidence import (
     EvidenceArticle,
@@ -138,22 +141,84 @@ def encode_rows(backend, texts) -> np.ndarray:
     return matrix
 
 
+def ranks_by_counts(backend) -> bool:
+    """Whether ``backend`` ranks by exact bucket counts: a hashed bag encoder
+    whose rows are its own (a subclass with its own ``encode_batch`` ranks
+    its rows)."""
+    return isinstance(backend, HashedBagEncoder) and type(backend).encode_batch is HashedBagEncoder.encode_batch
+
+
+def bucket_counts(backend, text: str) -> Counter:
+    """A hashed bag's bucket counts by their definition: one ``stable_bucket`` per token."""
+    return Counter(stable_bucket(token, backend.seed, backend.dimension) for token in tokenize(text))
+
+
+def squared_cosine(head: Counter, tail: Counter) -> Fraction:
+    """``dot**2 / (|head|**2 * |tail|**2)`` of two count vectors, as a rational."""
+    dot = sum(count * tail[bucket] for bucket, count in head.items())
+    return Fraction(dot * dot, sum(c * c for c in head.values()) * sum(c * c for c in tail.values()))
+
+
+def distance_of(squared: Fraction) -> float:
+    """``1 - sqrt(squared)``, with ``squared`` rounded once to float64 (Python's int division is correctly rounded)."""
+    return 1.0 - math.sqrt(squared.numerator / squared.denominator)
+
+
+def scorer(backend, head: str):
+    """``text -> (key, distance)`` against ``head``, which has tokens, for a
+    text with tokens; ranking by ascending key ranks closest first. Where
+    ``backend`` ranks by counts, the key is the squared cosine of
+    ``bucket_counts`` as a ``Fraction``, negated, and the distance is
+    ``distance_of`` it. Otherwise the key is the distance between the two
+    ``encode`` rows, and a bad head row raises here."""
+    if ranks_by_counts(backend):
+        head_counts = bucket_counts(backend, head)
+
+        def by_counts(text):
+            square = squared_cosine(head_counts, bucket_counts(backend, text))
+            return -square, distance_of(square)
+
+        return by_counts
+    head_vec = encode(backend, head)
+
+    def by_rows(text):
+        distance = cosine_distance(head_vec, encode(backend, text))
+        return distance, distance
+
+    return by_rows
+
+
 def nearest_first_by_sorting(backend, heads, tails) -> list:
-    """``nearest_first`` entry by entry: the head through ``encode``, its
-    tail's rows through ``encode_rows``, one ``np.dot`` per row, and a sort
-    of ``(distance, position)`` pairs, so ties keep position order. An entry
-    whose encoding breaks the contract is the ``EncodeError`` it raises alone.
+    """``nearest_first`` entry by entry, and a sort of ``(key, position)``
+    pairs, so ties keep position order; a tail text without tokens has
+    distance NaN and ranks last.
+
+    A backend that ranks by counts is scored by ``scorer``, and a head
+    without tokens is its entry's error. Any other backend's head goes
+    through ``encode``, its tail texts with tokens through ``encode_rows``,
+    and one ``np.dot`` per row gives the distance, which is the key; an
+    entry whose encoding breaks the contract is the ``EncodeError`` it
+    raises alone.
     """
     out: list = []
     for head, tail in zip(heads, tails):
+        scored = [i for i, text in enumerate(tail) if has_tokens(text)]
         try:
-            head_vec, rows = encode(backend, head), encode_rows(backend, tail)
+            if ranks_by_counts(backend):
+                if not has_tokens(head):
+                    raise EncodeError(NO_TOKENS)
+                score = scorer(backend, head)
+                scores = [score(tail[i]) for i in scored]
+            else:
+                head_vec, rows = encode(backend, head), encode_rows(backend, [tail[i] for i in scored])
+                distances = [min(2.0, max(0.0, 1.0 - float(np.dot(head_vec, row)))) for row in rows]
+                scores = [(distance, distance) for distance in distances]
         except EncodeError as exc:
             out.append(exc)
             continue
-        distances = [min(2.0, max(0.0, 1.0 - float(np.dot(head_vec, row)))) for row in rows]
-        ranked = sorted(zip(distances, range(len(tail))))
-        out.append((tail, tuple(position for _, position in ranked), tuple(d for d, _ in ranked)))
+        by_position = dict(zip(scored, scores))
+        ranked = sorted(range(len(tail)), key=lambda i: (0, by_position[i][0], i) if i in by_position else (1, 0, i))
+        out.append((tail, tuple(ranked), tuple(by_position[i][1] if i in by_position else math.nan for i in ranked)))
     return out
 
 
@@ -252,7 +317,7 @@ def train_by_refeaturizing(backend, train_set, validation_set, epochs: int):
 
 def record_by_article(article, variant, runtime) -> PipelineRecord:
     """One article's record, built alone and in the pipeline's stage order,
-    with every text encoded on its own by ``encode``.
+    with every text scored on its own by ``scorer``.
 
     An input error (a ``ClaimCheckError`` or ``ValueError``) becomes the
     record's ``error``; record fields are filled only once the stage that
@@ -292,13 +357,14 @@ def record_by_article(article, variant, runtime) -> PipelineRecord:
                 raise ValueError("article body yields no sentences to rank")
             if not has_tokens(signal):
                 raise EncodeError(NO_TOKENS)
-            sentences_have_tokens = all(has_tokens(sentence) for sentence in sentences)
-            signal_vec = encode(encoder, signal)  # a bad signal row comes before a sentence without tokens
-            if not sentences_have_tokens:
+            sentences_have_tokens = [has_tokens(sentence) for sentence in sentences]
+            score = scorer(encoder, signal)  # a bad signal row comes before a sentence without tokens
+            # So does a bad row of a sentence with tokens: the row path encodes those first.
+            by_index = [score(sentence) for sentence, ok in zip(sentences, sentences_have_tokens) if ok]
+            if not all(sentences_have_tokens):
                 raise EncodeError(NO_TOKENS)
-            by_index = [cosine_distance(signal_vec, encode(encoder, sentence)) for sentence in sentences]
-            ranked = tuple(sorted(range(len(sentences)), key=lambda i: (by_index[i], i)))
-            distances = tuple(by_index[i] for i in ranked)
+            ranked = tuple(sorted(range(len(sentences)), key=lambda i: (by_index[i][0], i)))
+            distances = tuple(by_index[i][1] for i in ranked)
             claim = " ".join(sentences[i] for i in ranked[: config.claims_k])
             query = build_query(article.headline, claim, config.query_word_limit)
         record.signal_kind, record.signal_text = kind, signal
@@ -319,7 +385,7 @@ def record_by_article(article, variant, runtime) -> PipelineRecord:
         if survivors:
             if not has_tokens(claim):
                 raise EncodeError(NO_TOKENS)
-            claim_vec = encode(encoder, claim)
+            score = scorer(encoder, claim)
             candidates = [
                 (order, index, sentence)
                 for order, survivor in enumerate(survivors)
@@ -327,8 +393,7 @@ def record_by_article(article, variant, runtime) -> PipelineRecord:
                 if has_tokens(sentence)
             ]
             pool = sorted(
-                (cosine_distance(claim_vec, encode(encoder, sentence)), order, index, sentence)
-                for order, index, sentence in candidates
+                (*score(sentence), order, index, sentence) for order, index, sentence in candidates
             )
             top = tuple(
                 EvidenceSentence(
@@ -338,7 +403,7 @@ def record_by_article(article, variant, runtime) -> PipelineRecord:
                     article_order=order,
                     sentence_index=index,
                 )
-                for distance, order, index, sentence in pool[: config.max_evidence_sentences]
+                for _, distance, order, index, sentence in pool[: config.max_evidence_sentences]
             )
             evidence = EvidenceSet(tuple(survivors), top, " ".join(sentence.text for sentence in top))
         record.evidence = evidence

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from claimcheck.claimrank import nearest_first, rank_block, rank_sentences
 from claimcheck.config import PipelineConfig
-from claimcheck.encode import NO_TOKENS, HashedBagEncoder, reference_encode
+from claimcheck.encode import NO_TOKENS, HashedBagEncoder
 from claimcheck.errors import EncodeError
 from claimcheck.pipeline import PipelineVariant, build_runtime, derive_stages
 from claimcheck.textproc import split_sentences
-from oracles import nearest_first_by_sorting
+from oracles import bucket_counts, distance_of, nearest_first_by_sorting, squared_cosine
 
 _VOCAB = [
     "council", "harbor", "budget", "library", "bridge", "transit", "school",
@@ -64,15 +64,13 @@ class TestRankSentences:
             signal_text = " ".join(rng.choice(_VOCAB) for _ in range(5))
             _, ranked, got = rank_sentences(body, signal_text, backend)
 
-            # Oracle: full sort over independently recomputed distances.
+            # Oracle: full sort over independently recomputed rationals.
             sentences = split_sentences(body)
-            signal_vec = reference_encode(signal_text, 256, 0)
-            distances = [
-                1.0 - float(np.dot(signal_vec, reference_encode(s, 256, 0))) for s in sentences
-            ]
-            order = sorted(range(len(sentences)), key=lambda i: (distances[i], i))
+            head = bucket_counts(backend, signal_text)
+            squares = [squared_cosine(head, bucket_counts(backend, s)) for s in sentences]
+            order = sorted(range(len(sentences)), key=lambda i: (-squares[i], i))
             assert list(ranked) == order
-            assert list(got) == [min(2.0, max(0.0, distances[i])) for i in order]
+            assert list(got) == [distance_of(squares[i]) for i in order]
 
     def test_rank_invariant_under_monotone_distance_transform(self, backend):
         body = _random_article(random.Random(23))
@@ -100,17 +98,32 @@ class TestRankSentences:
         with pytest.raises(ValueError):
             rank_sentences("   ", signal, backend)
 
-    def test_a_signal_without_tokens_leaves_its_body_unscanned(self, backend, token_scans):
+    def test_a_signal_without_tokens_leaves_its_body_unscanned(self, token_scans):
+        body = "Harbor crews dredge. Ships wait."
+        rejected, ranking = rank_block([body, body], ["...", "Harbor crews"], _OwnRows(dimension=256, seed=0))
+        assert type(rejected) is EncodeError and str(rejected) == NO_TOKENS
+        assert ranking[0] == ["Harbor crews dredge.", "Ships wait."]
+        assert token_scans == {"...": 1, "Harbor crews": 1, "Harbor crews dredge.": 1, "Ships wait.": 1}
+
+    def test_a_ranking_hashes_each_text_once_in_one_call(self, backend, token_scans, hashed_batches):
         body = "Harbor crews dredge. Ships wait."
         rejected, ranking = rank_block([body, body], ["...", "Harbor crews"], backend)
         assert type(rejected) is EncodeError and str(rejected) == NO_TOKENS
         assert ranking[0] == ["Harbor crews dredge.", "Ships wait."]
-        assert token_scans == {"...": 1, "Harbor crews": 1, "Harbor crews dredge.": 1, "Ships wait.": 1}
+        assert hashed_batches == [["...", "Harbor crews", *split_sentences(body), *split_sentences(body)]]
+        assert token_scans == {}
 
     def test_empty_signal_rejected(self, fixture_articles, runtime):
         article = dataclasses.replace(fixture_articles[0], headline="  ")
         with pytest.raises(ValueError, match="^internal signal text must be non-empty$"):
             derive_stages(article, PipelineVariant.P1_HEADLINE, runtime)
+
+
+class _OwnRows(HashedBagEncoder):
+    """The hashed encoder's rows from an ``encode_batch`` of its own, so ranked on the row path."""
+
+    def encode_batch(self, texts):
+        return super().encode_batch(texts)
 
 
 class _Breaking(HashedBagEncoder):
@@ -129,6 +142,14 @@ class _Breaking(HashedBagEncoder):
         return rows
 
 
+def test_a_bad_sentence_row_comes_before_a_sentence_without_tokens():
+    body = "... Harbor double ferry. Ferry audit."
+    [row_path] = rank_block([body], ["harbor"], _Breaking(dimension=8, seed=1))
+    [by_counts] = rank_block([body], ["harbor"], HashedBagEncoder(dimension=8, seed=1))
+    assert type(row_path) is EncodeError and str(row_path) == "backend 'breaking' returned a non-unit vector"
+    assert type(by_counts) is EncodeError and str(by_counts) == NO_TOKENS
+
+
 def _plain(entry):
     """An entry of ``nearest_first`` with its distances as exact hex strings."""
     if isinstance(entry, Exception):
@@ -137,8 +158,8 @@ def _plain(entry):
     return list(tail), positions, [distance.hex() for distance in distances]
 
 
-# Few words in short texts, so tails repeat sentences and distances tie often.
-_text = st.lists(st.sampled_from(["harbor", "budget", "ferry", "audit", "nan", "double"]), min_size=1, max_size=3)
+# Few words in short texts, so tails repeat sentences and distances tie often; "--" alone has no tokens.
+_text = st.lists(st.sampled_from(["harbor", "budget", "ferry", "audit", "nan", "double", "--"]), min_size=1, max_size=3)
 _block = st.lists(st.tuples(_text.map(" ".join), st.lists(_text.map(" ".join), max_size=8)), max_size=6)
 # A tail longer than an insertion sort's cutoff whose ties an unstable sort reorders.
 _TIED = ("harbor", ["ferry audit", "budget", "ferry audit", "harbor audit"] * 8)
@@ -151,11 +172,47 @@ _TIED = ("harbor", ["ferry audit", "budget", "ferry audit", "harbor audit"] * 8)
 @example(block=[])
 @example(block=[("harbor", []), ("budget", ["ferry", "ferry", "budget"]), ("audit", [])])
 @example(block=[_TIED, ("double", ["harbor"]), ("ferry", ["budget", "nan ferry"]), _TIED])
+@example(block=[("--", ["harbor"]), ("ferry", ["--", "budget", "-- --", "nan"]), ("harbor", ["--"])])
 def test_nearest_first_is_the_sorting_oracle_per_entry(backend, block):
     heads, tails = [head for head, _ in block], [tail for _, tail in block]
     got = list(map(_plain, nearest_first(heads, tails, backend)))
     assert got == list(map(_plain, nearest_first_by_sorting(backend, heads, tails)))
     assert got == [_plain(nearest_first([head], [tail], backend)[0]) for head, tail in block]
+
+
+# Two tails of a seed-1 ``news`` p2 ranking whose distances are equal as rationals.
+_NEWS_TIE = (
+    "Davusato ba cise tifakuka birefula vehurevi luneli tifakuka lovuzicu gece lovuzicu",
+    [
+        "Cibeko sokabepu rugupofo mevi pedohi tifakuka vafucifi likecine zesovuvi tifakuka.",
+        "Lovuzicu hokigima mecidasi birefula salusu vimiku ke cifide duheseni tifakuka sivotara zu.",
+    ],
+)
+
+
+def test_a_tie_in_the_rational_keeps_position_order(backend):
+    head, tail = _NEWS_TIE
+    squares = [squared_cosine(bucket_counts(backend, head), bucket_counts(backend, text)) for text in tail]
+    assert squares[0] == squares[1]
+    [(_, positions, distances)] = nearest_first([head], [tail], backend)
+    assert positions == (0, 1)
+    assert distances[0].hex() == distances[1].hex() == distance_of(squares[0]).hex()
+
+
+# Texts from few words, some of them repeated, so distinct tails often tie as rationals.
+_words = st.lists(st.sampled_from(["harbor", "budget", "ferry", "audit", "tide", "silt", "barge"]), min_size=1, max_size=6)
+
+
+@given(block=st.lists(st.tuples(_words.map(" ".join), st.lists(_words.map(" ".join), max_size=12)), max_size=5))
+@example(block=[_NEWS_TIE])
+def test_nearest_first_ranks_by_the_rational_with_ties_by_position(backend, block):
+    heads, tails = [head for head, _ in block], [tail for _, tail in block]
+    for (head, tail), (_, positions, distances) in zip(block, nearest_first(heads, tails, backend)):
+        head_counts = bucket_counts(backend, head)
+        squares = [squared_cosine(head_counts, bucket_counts(backend, tail[p])) for p in positions]
+        for (first, a), (second, b) in zip(zip(squares, positions), zip(squares[1:], positions[1:])):
+            assert first > second or (first == second and a < b)
+        assert [d.hex() for d in distances] == [distance_of(square).hex() for square in squares]
 
 
 class TestClaim:

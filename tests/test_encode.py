@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import string
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +23,10 @@ from claimcheck.encode import (
     reference_encode,
     stable_bucket,
 )
-from claimcheck.encode import _fault
+from claimcheck.encode import _count_distances, _fault
 from claimcheck.errors import EncodeError
 from claimcheck.textproc import has_tokens, tokenize
-from oracles import encode_rows, hashed_bag_by_loop
+from oracles import distance_of, encode_rows, hashed_bag_by_loop
 
 PINS_PATH = Path(__file__).parent / "data" / "encoder_pins.json"
 
@@ -337,6 +339,63 @@ class TestEncodePairs:
     def test_a_batch_failure_fails_every_entry(self, batch_fault, message):
         pairs = encode_pairs(_Faulty(batch_fault), self.HEADS, self.TAILS)
         assert all(isinstance(pair, EncodeError) and message in str(pair) for pair in pairs)
+
+
+class TestDistances:
+    HEADS = ["harbor crews", "...", "ships at the harbor"]
+    TAILS = [["crews dredge the harbor", "--", "harbor"], ["ships"], []]
+
+    def test_a_subclass_with_its_own_rows_takes_the_row_path(self):
+        assert _Faulty.distances is EncoderBackend.distances
+        assert HashedBagEncoder.distances is not EncoderBackend.distances
+
+    @pytest.mark.parametrize("backend", [HashedBagEncoder(dimension=16, seed=1), _Faulty()], ids=["hashed", "rows"])
+    def test_a_text_without_tokens_is_nan_and_a_head_without_tokens_fails(self, backend):
+        first, second, third = backend.distances(self.HEADS, self.TAILS)
+        assert np.isnan(first[1]) and not np.isnan(first[[0, 2]]).any()
+        assert type(second) is EncodeError and str(second) == NO_TOKENS
+        assert len(third) == 0
+
+    def test_both_paths_give_the_same_distances_up_to_rounding(self):
+        counted = HashedBagEncoder(dimension=16, seed=1).distances(self.HEADS, self.TAILS)
+        rows = _Faulty().distances(self.HEADS, self.TAILS)
+        for by_counts, by_rows in zip(counted[::2], rows[::2]):
+            np.testing.assert_allclose(by_counts, by_rows, rtol=0, atol=1e-15)
+
+    def test_the_row_path_fails_an_entry_on_a_bad_row(self):
+        results = _Faulty().distances(["harbor", "double head", "harbor"], [["ships", "..."], ["ships"], ["nan ships"]])
+        assert not isinstance(results[0], Exception)
+        assert "non-unit" in str(results[1]) and "non-finite" in str(results[2])
+
+
+def _cross(dot_a, n_a, dot_b, n_b):
+    """The sign of ``dot_a**2 / n_a - dot_b**2 / n_b``, by integer cross-multiplication."""
+    difference = dot_a * dot_a * n_b - dot_b * dot_b * n_a
+    return (difference > 0) - (difference < 0)
+
+
+@given(data=st.data())
+def test_count_distances_order_exactly_within_the_bound(data):
+    # Two tails of one head: if n_head * n_a * n_b <= 2**50, the float64 distances compare as the rationals do.
+    n_head = data.draw(st.integers(1, 2**25), "n_head")
+    n_a = data.draw(st.integers(1, 2**50 // n_head), "n_a")
+    n_b = data.draw(st.integers(1, 2**50 // (n_head * n_a)), "n_b")
+    dot_a = data.draw(st.integers(0, math.isqrt(n_head * n_a)), "dot_a")
+    near = math.isqrt(dot_a * dot_a * n_b // n_a)  # the dot of b whose rational is nearest a's
+    dot_b = min(max(near + data.draw(st.integers(-1, 1), "step"), 0), math.isqrt(n_head * n_b))
+    d_a, d_b = _count_distances(np.array([dot_a, dot_b]), np.array([n_head, n_head]), np.array([n_a, n_b])).tolist()
+    assert (d_b > d_a) - (d_b < d_a) == _cross(dot_a, n_a, dot_b, n_b)
+    assert d_a.hex() == distance_of(Fraction(dot_a * dot_a, n_head * n_a)).hex()
+
+
+@pytest.mark.parametrize("dot,n_head,n_tail", [(2**40 - 1, 2**40, 2**40), (3 * 10**8, 10**9, 10**9 - 7), (0, 2**60, 2**3)])
+def test_count_distances_past_float64_integers_divide_exactly(dot, n_head, n_tail):
+    [got] = _count_distances(np.array([dot]), np.array([n_head]), np.array([n_tail]))
+    assert got.hex() == distance_of(Fraction(dot * dot, n_head * n_tail)).hex()
+
+
+def test_count_distances_mark_an_empty_tail_with_nan():
+    assert np.isnan(_count_distances(np.array([0]), np.array([5]), np.array([0]))).all()
 
 
 def _unit(d, hot=0):

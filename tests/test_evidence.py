@@ -2,13 +2,12 @@ import random
 import re
 from datetime import date, timedelta
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from claimcheck.corpus import Article, DatasetKind
-from claimcheck.encode import NO_TOKENS, HashedBagEncoder, reference_encode
+from claimcheck.encode import NO_TOKENS, HashedBagEncoder
 from claimcheck.errors import ConfigError, EncodeError, FatalSearchError
 from claimcheck.evidence import (
     CredibleDomainList,
@@ -26,7 +25,8 @@ from claimcheck.evidence import (
     shift_months,
 )
 from claimcheck.providers import FixtureSearchProvider
-from oracles import in_window_by_walking, shift_months_by_walking
+from claimcheck.textproc import split_sentences, tokenize
+from oracles import bucket_counts, distance_of, in_window_by_walking, shift_months_by_walking, squared_cosine
 
 
 class TestBuildQuery:
@@ -248,6 +248,13 @@ class TestSearch:
             search(Dupes(), Query("q"))
 
 
+class _OwnRows(HashedBagEncoder):
+    """The hashed encoder's rows from an ``encode_batch`` of its own, so ranked on the row path."""
+
+    def encode_batch(self, texts):
+        return super().encode_batch(texts)
+
+
 def _article(published=date(2017, 6, 15)):
     return Article(
         id="art-1",
@@ -311,13 +318,24 @@ class TestGatherEvidence:
         assert picked == [(0, 1, 0.0), (1, 1, 0.0), (0, 2, 1.0)]
         assert [s.source_url for s in evidence.sentences] == [f"https://example.com/item-{i}" for i in (0, 1, 0)]
 
-    def test_a_claim_without_tokens_leaves_its_survivors_unscanned(self, backend, token_scans):
+    def test_a_claim_without_tokens_leaves_its_survivors_unscanned(self, token_scans):
         result = SearchResult("https://example.com/a", "example.com", "t", "Crews dredge. Ships wait.", 1)
+        survivors = (EvidenceArticle(result=result, date_check_applicable=True),)
+        rejected, chosen = select_evidence(["...", "Ships wait."], [survivors, survivors], _OwnRows(256, 0))
+        assert type(rejected) is EncodeError and str(rejected) == NO_TOKENS
+        assert chosen.concatenated == "Ships wait. Crews dredge."
+        assert token_scans == {"...": 1, "Ships wait.": 2, "Crews dredge.": 1}
+
+    def test_a_selection_hashes_each_text_once_in_one_call(self, backend, token_scans, hashed_batches):
+        result = SearchResult("https://example.com/a", "example.com", "t", "... Crews dredge. Ships wait.", 1)
         survivors = (EvidenceArticle(result=result, date_check_applicable=True),)
         rejected, chosen = select_evidence(["...", "Ships wait."], [survivors, survivors], backend)
         assert type(rejected) is EncodeError and str(rejected) == NO_TOKENS
         assert chosen.concatenated == "Ships wait. Crews dredge."
-        assert token_scans == {"...": 1, "Ships wait.": 2, "Crews dredge.": 1}
+        sentences = ["...", "Crews dredge.", "Ships wait."]
+        assert split_sentences(result.body) == sentences
+        assert hashed_batches == [["...", "Ships wait.", *sentences, *sentences]]
+        assert token_scans == {}
 
     def test_undated_evidence_fails_window(self, backend, allowlist):
         provider = _provider([_result(0, published=None), _result(1)])
@@ -373,18 +391,15 @@ class TestGatherEvidence:
         evidence = gather_evidence(_article(), claim, _QUERY, provider, allowlist, backend)
 
         # Oracle: pool every survivor sentence, full sort on recomputed
-        # distances with (article order, sentence index) tie-breaks.
-        claim_vec = reference_encode(claim, 256, 0)
+        # rationals with (article order, sentence index) tie-breaks.
+        head = bucket_counts(backend, claim)
         pool = []
         for order, entry in enumerate(entries):
-            from claimcheck.textproc import split_sentences, tokenize
-
             for idx, sentence in enumerate(split_sentences(entry["body"])):
                 if not tokenize(sentence):
                     continue
-                dist = 1.0 - float(np.dot(claim_vec, reference_encode(sentence, 256, 0)))
-                pool.append((dist, order, idx, sentence))
+                pool.append((-squared_cosine(head, bucket_counts(backend, sentence)), order, idx, sentence))
         pool.sort()
         assert [s.text for s in evidence.sentences] == [p[3] for p in pool[:3]]
-        assert [s.distance for s in evidence.sentences] == [min(2.0, max(0.0, p[0])) for p in pool[:3]]
+        assert [s.distance for s in evidence.sentences] == [distance_of(-p[0]) for p in pool[:3]]
         assert evidence.concatenated == " ".join(p[3] for p in pool[:3])

@@ -8,12 +8,20 @@ explain every byte and regenerate the fixtures
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy._core import _multiarray_umath
 
 from claimcheck.config import PipelineConfig
-from claimcheck.corpus import Article, DatasetKind, normalize_articles, save_store
+from claimcheck.corpus import Article, DatasetKind, ingest, normalize_articles, save_store
+from claimcheck.fixtures import fixture_corpus_path
 from claimcheck.evidence import SearchProvider, SearchResult, registrable_domain
 from claimcheck.pipeline import (
     PipelineVariant,
@@ -25,22 +33,27 @@ from claimcheck.pipeline import (
 )
 from claimcheck.veracity import HashedLinearClassifier, TrainConfig, split_dataset, train
 
+TESTS = Path(__file__).resolve().parent
 GOLDEN_SHA256 = {
-    PipelineVariant.P1_HEADLINE: "c9a23a1dd6c12da120538c6039baf82bfb0761a866cf2f97792aa86a323af3d4",
-    PipelineVariant.P2_SUMMARY: "d2a4a87e18007ec959e945bb0a1310a1b316c950a004879efe812c3c689cc51a",
-    PipelineVariant.P3_HEADLINE_PLUS_SUMMARY: "d580914df0c395963f83cf2d13d8df5a9b72e44873809ed42c61b6fa3d0a6e33",
+    PipelineVariant.P1_HEADLINE: "064a8d63981b2a25a69e66b509d71a63377cfeab870019e5b289f00bae5f0352",
+    PipelineVariant.P2_SUMMARY: "f10285a16348b98b5615f0bb91a01ab0f7f6a89bf7c1d7a8da4fb14f67e7a90e",
+    PipelineVariant.P3_HEADLINE_PLUS_SUMMARY: "40752da20b95e041a69244c7c7190f434aa551d928ae9fee419585080c709ce1",
 }
 # The normalized fixture corpus as ``save_store`` writes it.
 STORE_SHA256 = "01c79e810e8b1079064c639f3e28fbaf7de71a8be9b17b19a04c7d6265c6d748"
 # p2 records with predicted labels and probabilities filled in.
-ANNOTATED_P2_SHA256 = "3681581da209cfbbd1f0d3304197c83777af71c33973c1df85fd3f809af4ae25"
+ANNOTATED_P2_SHA256 = "0ff2001fd36698cd37105b260a486daf353f2883b3309946e8f78f4231647af2"
+
+
+def _records_sha256(articles, runtime, variant, directory: Path) -> str:
+    path = directory / f"records_{variant.value}.jsonl"
+    write_records(run_pipeline(articles, variant, runtime), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("variant", list(PipelineVariant), ids=lambda v: v.value)
 def test_fixture_records_hash_is_pinned(variant, fixture_articles, runtime, tmp_path):
-    path = tmp_path / f"records_{variant.value}.jsonl"
-    write_records(run_pipeline(fixture_articles, variant, runtime), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[variant]
+    assert _records_sha256(fixture_articles, runtime, variant, tmp_path) == GOLDEN_SHA256[variant]
 
 
 def test_fixture_store_hash_is_pinned(fixture_articles, tmp_path):
@@ -68,9 +81,9 @@ def test_annotated_records_hash_is_pinned(fixture_articles, runtime, tmp_path):
 # Punctuation mark, whose classes are the same from Unicode 13.0 to 15.1,
 # and no sentence starts with a quote or a digit.
 NON_ASCII_SHA256 = {
-    PipelineVariant.P1_HEADLINE: "06f32081b7de68b2aa03197aab41d8c43bdc03d4b7b6ec828f4726c5822b89ef",
-    PipelineVariant.P2_SUMMARY: "e20b2974893fb6c3ae765feae3faaae582cedfec32796005424152e86518d5f7",
-    PipelineVariant.P3_HEADLINE_PLUS_SUMMARY: "b4952fccf19873065b40f4c14e5e9510dbcbc6a1c9091fdcceee11f0d3b32633",
+    PipelineVariant.P1_HEADLINE: "4551672a2b38067f3b023718d221d34857d46b80fa886d010882890a107e4a68",
+    PipelineVariant.P2_SUMMARY: "29965eef7864e39160578a6f82b9bbfdaca8c7162b654f658afb55ce7132e652",
+    PipelineVariant.P3_HEADLINE_PLUS_SUMMARY: "58ca74ae11a417395d2b53bb4221c506578c32b1c430cbfa4a5481e79c06890b",
 }
 _NON_ASCII_ARTICLES = [
     (
@@ -138,13 +151,57 @@ class _NonAsciiProvider(SearchProvider):
         ]
 
 
-@pytest.mark.parametrize("variant", list(PipelineVariant), ids=lambda v: v.value)
-def test_non_ascii_records_hash_is_pinned(variant, tmp_path):
+def _non_ascii_inputs():
     articles = normalize_articles(
         Article(aid, headline, body, DatasetKind.FIXTURE, label, date(2019, 4, 1), "example.com")
         for aid, headline, body, label in _NON_ASCII_ARTICLES
     ).articles
-    runtime = build_runtime(PipelineConfig(), provider=_NonAsciiProvider())
-    path = tmp_path / f"records_{variant.value}.jsonl"
-    write_records(run_pipeline(articles, variant, runtime), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == NON_ASCII_SHA256[variant]
+    return articles, build_runtime(PipelineConfig(), provider=_NonAsciiProvider())
+
+
+@pytest.mark.parametrize("variant", list(PipelineVariant), ids=lambda v: v.value)
+def test_non_ascii_records_hash_is_pinned(variant, tmp_path):
+    assert _records_sha256(*_non_ascii_inputs(), variant, tmp_path) == NON_ASCII_SHA256[variant]
+
+
+def golden_sha256s(directory: Path) -> dict[str, str]:
+    """The fixture and non-ASCII records hashes of every variant, computed here."""
+    fixture = normalize_articles(ingest(fixture_corpus_path(), DatasetKind.FIXTURE).articles).articles
+    runtime, hashes = build_runtime(PipelineConfig()), {}
+    for variant in PipelineVariant:
+        hashes[f"fixture-{variant.value}"] = _records_sha256(fixture, runtime, variant, directory)
+        hashes[f"non-ascii-{variant.value}"] = _records_sha256(*_non_ascii_inputs(), variant, directory)
+    return hashes
+
+
+# CPU paths that change the bits of BLAS kernels and of numpy's SIMD loops.
+_CORETYPES = ("Haswell", "Nehalem")
+_NO_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def test_records_have_the_same_bytes_on_every_cpu_path(tmp_path):
+    # The annotated records are left out: the classifier's BLAS products and SIMD ``exp`` still vary.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "DYNAMIC_ARCH" not in str(blas.get("openblas configuration", "")):
+        pytest.skip(f"numpy's BLAS ({blas.get('name')}) is no DYNAMIC_ARCH OpenBLAS: OPENBLAS_CORETYPE picks no kernel")
+    disabled = " ".join(name for name in _NO_AVX512 if name in _multiarray_umath.__cpu_dispatch__)
+    configurations = [
+        {"OPENBLAS_CORETYPE": coretype, **({"NPY_DISABLE_CPU_FEATURES": features} if features else {})}
+        for coretype in _CORETYPES
+        for features in dict.fromkeys(["", disabled])
+    ]
+    code = "import json, pathlib, sys, test_golden; print(json.dumps(test_golden.golden_sha256s(pathlib.Path(sys.argv[1]))))"
+    base = {key: value for key, value in os.environ.items() if key not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    base["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH", "")])
+    children = []
+    for n, cpu in enumerate(configurations):
+        (tmp_path / str(n)).mkdir()
+        command = [sys.executable, "-c", code, str(tmp_path / str(n))]
+        env = {**base, **cpu}
+        children.append(subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    expected = {**{f"fixture-{v.value}": GOLDEN_SHA256[v] for v in PipelineVariant},
+                **{f"non-ascii-{v.value}": NON_ASCII_SHA256[v] for v in PipelineVariant}}
+    for cpu, child in zip(configurations, children):
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, f"{cpu}: {err}"
+        assert json.loads(out.splitlines()[-1]) == expected, cpu

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 from claimcheck import claimrank, encode, evidence, textproc
 from claimcheck.corpus import VeracityLabel, label_distribution
+from claimcheck.claimrank import nearest_first
 from claimcheck.encode import HashedBagEncoder
 from claimcheck.errors import PipelineError, RetryableSearchError
 from claimcheck.evidence import SearchProvider
@@ -251,6 +253,8 @@ class _PoisonedEvidence(SearchProvider):
 
 
 class _CountingEncoder(HashedBagEncoder):
+    """Counts ``encode_batch`` calls; its own ``encode_batch`` puts it on the row path."""
+
     def __init__(self):
         super().__init__()
         self.batches = 0
@@ -351,9 +355,11 @@ class TestMatchesPerArticleOracle:
 
     @pytest.mark.parametrize("variant", list(PipelineVariant))
     def test_token_scans_cover_every_text_and_no_more(self, variant, mixed_articles, mixed_runtime, monkeypatch):
-        # run_pipeline scans each text exactly as often as the oracle checks it
-        # by hand: once per ranking or evidence pool that holds it. The check
-        # inside the oracle's ``encode`` calls is the encoder contract, not a scan.
+        # On the row path, run_pipeline scans each text exactly as often as the
+        # oracle checks it by hand: once per ranking or evidence pool that holds
+        # it. The check inside the oracle's ``encode`` calls is the encoder
+        # contract, not a scan.
+        mixed_runtime = dataclasses.replace(mixed_runtime, encoder=_CountingEncoder())
         scans = []
         real = encode.has_tokens
 
@@ -361,8 +367,7 @@ class TestMatchesPerArticleOracle:
             scans[-1][text] += 1
             return real(text)
 
-        for module in (encode, claimrank, evidence):
-            monkeypatch.setattr(module, "has_tokens", counted)
+        monkeypatch.setattr(encode, "has_tokens", counted)
         scans.append(Counter())
         run_pipeline(mixed_articles, variant, mixed_runtime)
         monkeypatch.setattr(encode, "has_tokens", real)
@@ -372,6 +377,23 @@ class TestMatchesPerArticleOracle:
             record_by_article(article, variant, mixed_runtime)
         by_pipeline, by_oracle = scans
         assert by_pipeline == by_oracle
+
+
+    @pytest.mark.parametrize("variant", list(PipelineVariant))
+    def test_each_text_is_hashed_once_per_ranking(self, variant, mixed_articles, mixed_runtime, monkeypatch, hashed_batches):
+        # The hashed encoder's ranking makes one ``bucket_ids`` call, over its heads and then every tail text.
+        rankings = []
+
+        def recorded(heads, tails, backend):
+            rankings.append([*heads, *chain.from_iterable(tails)])
+            return nearest_first(heads, tails, backend)
+
+        monkeypatch.setattr(claimrank, "nearest_first", recorded)
+        monkeypatch.setattr(evidence, "nearest_first", recorded)
+        run_pipeline(mixed_articles, variant, mixed_runtime)
+        assert hashed_batches == rankings
+        blocks = -(-len(mixed_articles) // pipeline_module.BLOCK_ARTICLES)
+        assert len(rankings) == blocks * (1 if variant is PipelineVariant.P3_HEADLINE_PLUS_SUMMARY else 2)
 
 
 class TestRecordsIO:
